@@ -45,7 +45,7 @@ const MARKER_BASE: u64 = 0x5EED_0000;
 /// world's own machine.
 const ADVERSARY_DEVICE_SEED: [u8; 32] = [0xAD; 32];
 
-/// End-of-sequence observation; twins must produce equal values.
+/// End-of-sequence observation (cycle attribution, trace/metrics folds).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SeqObservation {
     /// Total machine cycles charged.
@@ -103,7 +103,7 @@ impl WorldConfig {
 }
 
 /// One fuzzing world: hypervisor + machine on one side, oracle on the
-/// other, plus the VMPL-3 address space the TLB-stress ops churn.
+/// other, plus the VMPL-3 address space the page-table ops churn.
 #[derive(Debug, Clone)]
 pub struct World {
     /// The system under test.
@@ -129,8 +129,8 @@ impl World {
     ///
     /// Panics if the prologue itself diverges (a harness bug, not a
     /// finding).
-    pub fn new(cache_enabled: bool, mutation: Option<RmpMutation>) -> Self {
-        World::with_config(cache_enabled, mutation, &WorldConfig::fuzz())
+    pub fn new(mutation: Option<RmpMutation>) -> Self {
+        World::with_config(mutation, &WorldConfig::fuzz())
     }
 
     /// Boots a world with an explicit [`WorldConfig`] — the
@@ -141,18 +141,13 @@ impl World {
     ///
     /// Panics if the prologue itself diverges (a harness bug, not a
     /// finding), or if the configuration reserves a prologue frame.
-    pub fn with_config(
-        cache_enabled: bool,
-        mutation: Option<RmpMutation>,
-        cfg: &WorldConfig,
-    ) -> Self {
+    pub fn with_config(mutation: Option<RmpMutation>, cfg: &WorldConfig) -> Self {
         assert!(
             cfg.reserved.iter().all(|&gfn| (POOL_FIRST..cfg.frames).contains(&gfn)),
             "reserved gfns must lie in the pool range"
         );
         let mut machine =
             Machine::new(MachineConfig { frames: cfg.frames as usize, ..Default::default() });
-        machine.set_cache_enabled(cache_enabled);
         machine.tracer_mut().set_enabled(cfg.observe);
         machine.set_metrics_enabled(cfg.observe);
         if let Some(m) = mutation {
@@ -236,7 +231,7 @@ impl World {
     }
 
     /// Applies one op to machine and oracle. Returns a canonical result
-    /// line (for twin comparison) or a divergence description.
+    /// line or a divergence description.
     pub fn step(&mut self, op: &AdversaryOp) -> Result<String, String> {
         let line = self.apply(op)?;
         self.check_invariants().map_err(|e| format!("after {op:?}: {e}"))?;
@@ -395,8 +390,7 @@ impl World {
                 self.note(&actual);
                 // Routing policy (refusals, misrouting, scope checks) is
                 // hypervisor behaviour, deliberately outside the RMP
-                // oracle; the gate and the result line still pin halts
-                // and twin equality.
+                // oracle; the gate and the result line still pin halts.
                 match (&actual, &gate) {
                     (Err(SnpError::Halted(got)), Err(want)) if got == want => {}
                     (Ok(_), Ok(())) => {}
@@ -506,7 +500,7 @@ impl World {
                 self.note(&actual);
                 // Like SwitchReq: routing (bad targets, policy refusals)
                 // is hypervisor behaviour outside the RMP oracle; the
-                // gate and the result line still pin halts and twins.
+                // gate and the result line still pin halts.
                 match (&actual, &gate) {
                     (Err(SnpError::Halted(got)), Err(want)) if got == want => {}
                     (Ok(_), Ok(())) => {}
@@ -680,7 +674,7 @@ impl World {
         }
     }
 
-    /// The reference oracle twin (read-only).
+    /// The reference oracle (read-only).
     pub fn oracle(&self) -> &RmpOracle {
         &self.oracle
     }

@@ -8,9 +8,9 @@
 //! immutability, VMPL masks). Scenario tests pin single operations;
 //! attack *sequences* are where SNP state machines historically break.
 //! This crate generates weighted random sequences over the full hostile
-//! surface ([`ops::AdversaryOp`]), executes each simultaneously on a
-//! caches-on and a caches-off twin ([`exec::World`]), compares both
-//! against the ~200-line [`oracle::RmpOracle`], and greedily shrinks
+//! surface ([`ops::AdversaryOp`]), executes each on the machine
+//! ([`exec::World`]), compares it against the ~200-line
+//! [`oracle::RmpOracle`] after every op, and greedily shrinks
 //! any divergence to a minimal replayable program
 //! ([`runner::run_fuzz`]).
 //!

@@ -4,7 +4,7 @@
 //!
 //! The oracle re-states the architectural rules of §3/§5.1 of the paper
 //! in the most literal form possible — one `BTreeMap` entry per page,
-//! cloned on every lookup, no TLB, no verdict cache, no cycle
+//! cloned on every lookup, no cycle
 //! accounting, no trace. It deliberately does **not** model hypervisor
 //! policy behaviour (switch routing, interrupt relay), page tables, or
 //! VMSA register contents; the executor checks those through other

@@ -1,31 +1,22 @@
-//! `hotpath` — wall-clock benchmark of the software TLB + RMP-verdict
-//! cache (PR 3).
+//! `hotpath` — the gate relay protocols on the Fig. 5 workloads, on
+//! both clocks.
 //!
-//! Every other bench in this crate reports *model* cycles, which are
-//! cache-invariant by construction (cache operations charge zero cycles).
-//! The caches exist to make the simulator itself faster, so this runner
-//! measures what they actually buy: real elapsed milliseconds for the
-//! Fig. 5 workloads executed twice on identical machines — once with
-//! `set_cache_enabled(false)` (the `VEIL_NO_TLB=1` configuration) and
-//! once with the caches on — plus the TLB/verdict hit rates of the
-//! cached run. It asserts the two runs agree on model cycles and
-//! workload checksums (a cheap standing twin-execution check), then
-//! writes `BENCH_HOTPATH.json`.
+//! Each workload runs with VeilS-LOG auditing on — so every audited
+//! syscall crosses the gate — once over the serial protocol
+//! (`batch(false)`) and once over the ring-and-doorbell protocol
+//! (`batch(true)`), for a fixed number of pairs. Pairs alternate their
+//! order (ABBA) so monotonic host drift taxes neither protocol. The
+//! serial protocol costs exactly two domain switches per gate request;
+//! the batched run's `switches_per_request` is derived from the measured
+//! switch deficit between the two runs.
 //!
-//! A second pair of passes per workload measures the **batched gate
-//! path** (PR 7): the workload runs with VeilS-LOG auditing on — so
-//! every audited syscall crosses the gate — once over the serial
-//! protocol (`batch(false)`) and once over the ring-and-doorbell
-//! protocol (`batch(true)`). The serial protocol costs exactly two
-//! domain switches per gate request; the batched twin's
-//! `switches_per_request` is derived from the measured switch deficit
-//! between the two runs. Like the cache pair, the gate pair is
-//! interleaved (ABBA) and min-of-reps de-noised — the earlier
-//! single-shot pair let allocator noise masquerade as a batching
-//! regression on compress.
+//! Every pair must agree on workload checksum, op count and gate request
+//! count, and the model cycles of each protocol must be identical across
+//! reps (the simulator is deterministic). Host wall-clock is reported as
+//! min, median and max over the reps, never re-sampled.
 //!
-//! A final untimed pass re-runs the batched gate configuration with
-//! the metrics registry on and contributes relay-latency p50/p99/p99.9
+//! A final untimed pass re-runs the batched configuration with the
+//! metrics registry on and contributes relay-latency p50/p99/p99.9
 //! cycle columns — asserting along the way that metrics collection
 //! leaves model cycles untouched. Running the *audited batched*
 //! configuration matters: doorbell drains and PSC batches charge
@@ -33,18 +24,18 @@
 //! buckets instead of collapsing into the single constant-roundtrip
 //! bucket.
 //!
-//! Standing floors enforced on every run: `speedup_cache >= 1.0` and
-//! `gate_wall_ms_batched <= gate_wall_ms_serial * 1.02` for every
-//! workload, and `switches_per_request < 1.0` on http and kvstore in
-//! batched mode.
+//! Standing floors, all on deterministic model quantities:
+//! `gate_cycles_batched < gate_cycles_serial` on every workload, and
+//! batched `switches_per_request < 1.0` on http and kvstore. The
+//! wall-clock ratio `gate_wall_ms_batched / gate_wall_ms_serial` is
+//! checked per pair against 1.02 and judged only where it clears its own
+//! spread: `pass` when every pair is at or under the limit, `fail` (the
+//! run exits nonzero) when every pair is over it, and `unresolved`
+//! (reported, not gated) when the pairs straddle it.
 //!
 //! Usage: `cargo run --release -p veil-bench --bin hotpath [--scale N]
-//! [--reps N] [--out PATH] [--baseline name=ms,...]` (default
-//! `BENCH_HOTPATH.json` in the current directory). `--baseline` attaches
-//! externally measured pre-PR wall-clock numbers (same harness, same
-//! scale, built from the parent commit — see EXPERIMENTS.md) so the JSON
-//! also reports the end-to-end hot-path speedup of this change set, not
-//! just the cache on/off delta.
+//! [--reps N] [--out PATH]` (default `BENCH_HOTPATH.json` in the current
+//! directory).
 
 use std::time::Instant;
 use veil_sdk::{install_enclave, EnclaveBinary, EnclaveRuntime};
@@ -59,68 +50,6 @@ use veil_workloads::{
 const BENCH_FRAMES: u64 = 8192;
 
 type WorkloadMaker = Box<dyn Fn() -> Box<dyn Workload>>;
-
-fn veil_cvm() -> Cvm {
-    // The cache passes measure the serial gate protocol; the batched
-    // path gets its own dedicated passes below.
-    CvmBuilder::new()
-        .frames(BENCH_FRAMES)
-        .vcpus(1)
-        .log_frames(1024)
-        .batch(false)
-        .build()
-        .expect("veil boot")
-}
-
-struct ModeResult {
-    wall_ms: f64,
-    model_cycles: u64,
-    stats: WorkloadStats,
-    tlb_hits: u64,
-    tlb_misses: u64,
-    verdict_hits: u64,
-    verdict_misses: u64,
-}
-
-impl ModeResult {
-    fn tlb_hit_rate(&self) -> Option<f64> {
-        let total = self.tlb_hits + self.tlb_misses;
-        (total > 0).then(|| self.tlb_hits as f64 / total as f64)
-    }
-}
-
-/// Runs `make()`'s workload once in a fresh enclave CVM with the caches
-/// forced on or off, timing only the workload portion (not boot).
-fn run_mode(make: &dyn Fn() -> Box<dyn Workload>, cache_enabled: bool) -> ModeResult {
-    let mut cvm = veil_cvm();
-    cvm.hv.machine.set_cache_enabled(cache_enabled);
-    let pid = cvm.spawn();
-    let binary = EnclaveBinary::build("hotpath", 16 * 1024, 8 * 1024).with_heap_pages(32);
-    let handle = install_enclave(&mut cvm, pid, &binary).expect("install");
-    let mut rt = EnclaveRuntime::new(handle);
-    let mut workload = make();
-
-    let cycles_before = cvm.hv.machine.cycles().total();
-    let stats_before = cvm.hv.machine.cache_stats();
-    let start = Instant::now();
-    let stats = {
-        let mut d = EnclaveDriver { cvm: &mut cvm, rt: &mut rt };
-        workload.run(&mut d).expect("workload run")
-    };
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let model_cycles = cvm.hv.machine.cycles().total() - cycles_before;
-
-    let after = cvm.hv.machine.cache_stats();
-    ModeResult {
-        wall_ms,
-        model_cycles,
-        stats,
-        tlb_hits: after.tlb_hits - stats_before.tlb_hits,
-        tlb_misses: after.tlb_misses - stats_before.tlb_misses,
-        verdict_hits: after.verdict_hits - stats_before.verdict_hits,
-        verdict_misses: after.verdict_misses - stats_before.verdict_misses,
-    }
-}
 
 /// Result of the untimed metrics-on pass over the audited batched gate
 /// configuration: relay-latency distribution plus the model cycles it
@@ -220,26 +149,63 @@ fn run_gate_metrics(make: &dyn Fn() -> Box<dyn Workload>) -> MetricsResult {
     }
 }
 
+/// Per-pair ceiling on `gate_wall_ms_batched / gate_wall_ms_serial`:
+/// ring-and-doorbell batching must not tax wall clock by more than 2%.
+const WALL_RATIO_LIMIT: f64 = 1.02;
+
+/// Min, median and max of a sample.
+#[derive(Clone, Copy)]
+struct Spread {
+    min: f64,
+    median: f64,
+    max: f64,
+}
+
+impl Spread {
+    fn of(samples: &[f64]) -> Spread {
+        let mut v = samples.to_vec();
+        v.sort_by(f64::total_cmp);
+        let n = v.len();
+        let median = if n % 2 == 1 { v[n / 2] } else { (v[n / 2 - 1] + v[n / 2]) / 2.0 };
+        Spread { min: v[0], median, max: v[n - 1] }
+    }
+
+    fn json(&self, prefix: &str) -> Vec<String> {
+        vec![
+            json_field(&format!("{prefix}_min"), json_f64(self.min)),
+            json_field(&format!("{prefix}_median"), json_f64(self.median)),
+            json_field(&format!("{prefix}_max"), json_f64(self.max)),
+        ]
+    }
+}
+
+/// The wall-clock ratio's verdict against [`WALL_RATIO_LIMIT`].
+fn wall_verdict(ratio: &Spread) -> &'static str {
+    if ratio.max <= WALL_RATIO_LIMIT {
+        "pass"
+    } else if ratio.min > WALL_RATIO_LIMIT {
+        "fail"
+    } else {
+        "unresolved"
+    }
+}
+
 struct Row {
     name: &'static str,
-    off: ModeResult,
-    on: ModeResult,
     relay: veil_snp::metrics::Histogram,
+    /// The serial and batched runs of the first pair (every pair agrees
+    /// on all model quantities).
     gate_serial: GateResult,
     gate_batched: GateResult,
+    wall_serial: Spread,
+    wall_batched: Spread,
+    /// Per-pair `batched / serial` wall-clock ratio.
+    wall_ratio: Spread,
 }
 
 impl Row {
-    fn speedup(&self) -> f64 {
-        self.off.wall_ms / self.on.wall_ms
-    }
-
-    fn ops_per_sec(mode: &ModeResult) -> f64 {
-        mode.stats.ops as f64 / (mode.wall_ms / 1e3)
-    }
-
     /// Domain switches the batched run spent per gate request. The serial
-    /// protocol spends exactly two (call + return); the batched twin's
+    /// protocol spends exactly two (call + return); the batched run's
     /// count is the serial cost minus the measured switch deficit between
     /// the two otherwise-identical runs.
     fn switches_per_request_batched(&self) -> f64 {
@@ -258,137 +224,60 @@ impl Row {
 }
 
 fn measure(name: &'static str, make: &dyn Fn() -> Box<dyn Workload>, reps: usize) -> Row {
-    // Interleave and keep the fastest run per mode: the simulator is
-    // deterministic, so wall-clock spread is pure scheduler/allocator
-    // noise and `min` is the honest estimator.
-    let mut off: Option<ModeResult> = None;
-    let mut on: Option<ModeResult> = None;
-    // Alternate the order within each pair (ABBA): a fixed off-then-on
-    // order would let monotonic host drift (thermal ramp, page-cache
-    // warmup) systematically tax one mode; alternating cancels it.
-    let mut on_first = false;
-    let mut run_pair = |off: &mut Option<ModeResult>, on: &mut Option<ModeResult>| {
-        let (o, c) = if on_first {
-            let c = run_mode(make, true);
-            (run_mode(make, false), c)
-        } else {
-            let o = run_mode(make, false);
-            (o, run_mode(make, true))
-        };
-        on_first = !on_first;
-        // Cache invariance: same model cycles, same workload results.
-        assert_eq!(o.model_cycles, c.model_cycles, "{name}: cycles diverged");
-        assert_eq!(o.stats.checksum, c.stats.checksum, "{name}: checksum diverged");
-        assert_eq!(o.stats.ops, c.stats.ops, "{name}: op count diverged");
-        if off.as_ref().is_none_or(|b| o.wall_ms < b.wall_ms) {
-            *off = Some(o);
-        }
-        if on.as_ref().is_none_or(|b| c.wall_ms < b.wall_ms) {
-            *on = Some(c);
-        }
-    };
-    for _ in 0..reps {
-        run_pair(&mut off, &mut on);
-    }
-    // Wall-clock noise can invert the on/off ordering at low rep counts.
-    // `min` is a consistent estimator and extra pairs only tighten both
-    // minima, so keep sampling (bounded) while the ordering looks
-    // inverted before judging the floor: a statistical tie flips within
-    // a few pairs, a genuine cache regression never does.
-    let mut extra = 0;
-    while extra < reps.max(2) * 10 && on.as_ref().unwrap().wall_ms > off.as_ref().unwrap().wall_ms {
-        run_pair(&mut off, &mut on);
-        extra += 1;
-    }
-    let off = off.unwrap();
-    let on = on.unwrap();
-    // Standing floor: the caches must never slow the simulator down.
-    assert!(
-        on.wall_ms <= off.wall_ms,
-        "{name}: speedup_cache {:.6} < 1.0 — caches slowed the simulator",
-        off.wall_ms / on.wall_ms
-    );
-    // The batched-gate pair: identical workload, identical gate traffic,
-    // only the relay protocol differs. Same ABBA min-of-reps treatment
-    // as the cache pair — the earlier single-shot pair let allocator
-    // noise masquerade as a batching regression on compress.
-    let mut gate_serial: Option<GateResult> = None;
-    let mut gate_batched: Option<GateResult> = None;
-    let mut batched_first = false;
-    let mut run_gate_pair = |serial: &mut Option<GateResult>, batched: &mut Option<GateResult>| {
-        let (s, b) = if batched_first {
+    // Identical workload, identical gate traffic; only the relay
+    // protocol differs.
+    let mut pairs: Vec<(GateResult, GateResult)> = Vec::with_capacity(reps);
+    for rep in 0..reps {
+        let (s, b) = if rep % 2 == 1 {
             let b = run_gate_mode(make, true);
             (run_gate_mode(make, false), b)
         } else {
             let s = run_gate_mode(make, false);
             (s, run_gate_mode(make, true))
         };
-        batched_first = !batched_first;
         assert_eq!(s.stats.checksum, b.stats.checksum, "{name}: gate checksum");
         assert_eq!(s.stats.ops, b.stats.ops, "{name}: gate op count");
         assert_eq!(s.gate_requests, b.gate_requests, "{name}: request count");
         assert_eq!(b.deferred_errors, 0, "{name}: batched drain must not shed requests");
         assert_eq!(s.doorbells, 0, "{name}: serial protocol never rings the doorbell");
         assert!(b.domain_switches <= s.domain_switches, "{name}: batching must not add switches");
-        if serial.as_ref().is_none_or(|prev| s.wall_ms < prev.wall_ms) {
-            *serial = Some(s);
+        if let Some((s0, b0)) = pairs.first() {
+            assert_eq!(s.model_cycles, s0.model_cycles, "{name}: serial cycles not deterministic");
+            assert_eq!(b.model_cycles, b0.model_cycles, "{name}: batched cycles not deterministic");
         }
-        if batched.as_ref().is_none_or(|prev| b.wall_ms < prev.wall_ms) {
-            *batched = Some(b);
-        }
+        pairs.push((s, b));
+    }
+    let walls = |pick: fn(&(GateResult, GateResult)) -> f64| -> Vec<f64> {
+        pairs.iter().map(pick).collect()
     };
-    let gate_reps = reps.div_ceil(2).max(1);
-    for _ in 0..gate_reps {
-        run_gate_pair(&mut gate_serial, &mut gate_batched);
-    }
-    // Bounded extra sampling before judging the wall-clock floor, same
-    // rationale as the cache pair above: a statistical tie flips within
-    // a few pairs, a genuine batching regression never does.
-    let mut extra = 0;
-    while extra < gate_reps.max(2) * 10
-        && gate_batched.as_ref().unwrap().wall_ms > gate_serial.as_ref().unwrap().wall_ms * 1.02
-    {
-        run_gate_pair(&mut gate_serial, &mut gate_batched);
-        extra += 1;
-    }
-    let gate_serial = gate_serial.unwrap();
-    let gate_batched = gate_batched.unwrap();
-    // Standing floor: ring-and-doorbell batching must not tax wall
-    // clock. The 2% allowance absorbs residual scheduler jitter that
-    // min-of-reps cannot fully cancel on sub-millisecond runs.
-    assert!(
-        gate_batched.wall_ms <= gate_serial.wall_ms * 1.02,
-        "{name}: gate_wall_ms_batched {:.3} > 1.02 * gate_wall_ms_serial {:.3}",
-        gate_batched.wall_ms,
-        gate_serial.wall_ms
-    );
+    let wall_serial = Spread::of(&walls(|(s, _)| s.wall_ms));
+    let wall_batched = Spread::of(&walls(|(_, b)| b.wall_ms));
+    let wall_ratio = Spread::of(&walls(|(s, b)| b.wall_ms / s.wall_ms));
+    let (gate_serial, gate_batched) = pairs.swap_remove(0);
     // One extra metrics-on pass over the audited batched configuration
     // for the relay-latency distribution. Metrics are observationally
     // inert: same model cycles as the timed batched gate run.
     let metrics = run_gate_metrics(make);
     assert_eq!(metrics.model_cycles, gate_batched.model_cycles, "{name}: metrics perturbed cycles");
-    Row { name, off, on, relay: metrics.relay, gate_serial, gate_batched }
+    Row {
+        name,
+        relay: metrics.relay,
+        gate_serial,
+        gate_batched,
+        wall_serial,
+        wall_batched,
+        wall_ratio,
+    }
 }
 
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
 }
 
-/// Parses `--baseline compress=61.7,http=174.2` into (name, wall_ms) pairs.
-fn parse_baseline(spec: &str) -> Vec<(String, f64)> {
-    spec.split(',')
-        .filter_map(|kv| {
-            let (k, v) = kv.split_once('=')?;
-            Some((k.trim().to_string(), v.trim().parse().ok()?))
-        })
-        .collect()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let scale: usize = arg_value(&args, "--scale").and_then(|v| v.parse().ok()).unwrap_or(1);
-    let reps: usize = arg_value(&args, "--reps").and_then(|v| v.parse().ok()).unwrap_or(5);
-    let baseline = arg_value(&args, "--baseline").map(|s| parse_baseline(&s)).unwrap_or_default();
+    let reps: usize = arg_value(&args, "--reps").and_then(|v| v.parse().ok()).unwrap_or(5).max(1);
     let out_path = arg_value(&args, "--out").unwrap_or_else(|| "BENCH_HOTPATH.json".to_string());
 
     let workloads: Vec<(&'static str, WorkloadMaker)> = vec![
@@ -417,14 +306,12 @@ fn main() {
     ];
 
     println!(
-        "{:<10} {:>10} {:>10} {:>8} {:>10} {:>10} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
+        "{:<10} {:>10} {:>10} {:>13} {:>11} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
         "workload",
-        "off ms",
-        "on ms",
-        "speedup",
-        "ops/s off",
-        "ops/s on",
-        "tlb hit",
+        "serial ms",
+        "batched ms",
+        "wall ratio",
+        "wall gate",
         "relay p50",
         "relay p99",
         "p99.9",
@@ -436,14 +323,13 @@ fn main() {
     for (name, make) in &workloads {
         let row = measure(name, make.as_ref(), reps);
         println!(
-            "{:<10} {:>10.1} {:>10.1} {:>7.2}x {:>10.0} {:>10.0} {:>7.1}% {:>9} {:>9} {:>9} {:>9} {:>9.3} {:>8.2}x",
+            "{:<10} {:>10.1} {:>10.1} {:>6.3}-{:<6.3} {:>11} {:>9} {:>9} {:>9} {:>9} {:>9.3} {:>8.3}x",
             row.name,
-            row.off.wall_ms,
-            row.on.wall_ms,
-            row.speedup(),
-            Row::ops_per_sec(&row.off),
-            Row::ops_per_sec(&row.on),
-            row.on.tlb_hit_rate().unwrap_or(0.0) * 100.0,
+            row.wall_serial.median,
+            row.wall_batched.median,
+            row.wall_ratio.min,
+            row.wall_ratio.max,
+            wall_verdict(&row.wall_ratio),
             row.relay.percentile(50.0),
             row.relay.percentile(99.0),
             row.relay.percentile(99.9),
@@ -453,13 +339,27 @@ fn main() {
         );
         rows.push(row);
     }
-    // Standing floors for the batched gate path (PR 7): the relay-bound
-    // workloads must amortize the switch below one per request.
+    // Standing floors, all deterministic except the wall-clock verdict,
+    // which fails only when every pair is over the limit.
     for r in &rows {
+        assert!(
+            r.gate_batched.model_cycles < r.gate_serial.model_cycles,
+            "{}: gate_cycles_batched {} must be < gate_cycles_serial {}",
+            r.name,
+            r.gate_batched.model_cycles,
+            r.gate_serial.model_cycles
+        );
         if matches!(r.name, "http" | "kvstore") {
             let spr = r.switches_per_request_batched();
             assert!(spr < 1.0, "{}: batched switches_per_request {spr:.3} must be < 1.0", r.name);
         }
+        assert!(
+            wall_verdict(&r.wall_ratio) != "fail",
+            "{}: gate_wall_ms_batched / gate_wall_ms_serial over {WALL_RATIO_LIMIT} on every \
+             pair (min {:.3})",
+            r.name,
+            r.wall_ratio.min
+        );
     }
 
     let items: Vec<String> = rows
@@ -467,18 +367,7 @@ fn main() {
         .map(|r| {
             let mut fields = vec![
                 json_str_field("workload", r.name),
-                json_field("ops", r.on.stats.ops),
-                json_field("model_cycles", r.on.model_cycles),
-                json_field("wall_ms_cache_off", json_f64(r.off.wall_ms)),
-                json_field("wall_ms_cache_on", json_f64(r.on.wall_ms)),
-                json_field("speedup_cache", json_f64(r.speedup())),
-                json_field("ops_per_sec_cache_off", json_f64(Row::ops_per_sec(&r.off))),
-                json_field("ops_per_sec_cache_on", json_f64(Row::ops_per_sec(&r.on))),
-                json_field("tlb_hit_rate", json_f64(r.on.tlb_hit_rate().unwrap_or(f64::NAN))),
-                json_field("tlb_hits", r.on.tlb_hits),
-                json_field("tlb_misses", r.on.tlb_misses),
-                json_field("verdict_hits", r.on.verdict_hits),
-                json_field("verdict_misses", r.on.verdict_misses),
+                json_field("ops", r.gate_serial.stats.ops),
                 json_field("relay_count", r.relay.count()),
                 json_field("relay_p50_cycles", r.relay.percentile(50.0)),
                 json_field("relay_p99_cycles", r.relay.percentile(99.0)),
@@ -489,37 +378,25 @@ fn main() {
                 json_field("gate_switches_batched", r.gate_batched.domain_switches),
                 json_field("gate_cycles_serial", r.gate_serial.model_cycles),
                 json_field("gate_cycles_batched", r.gate_batched.model_cycles),
-                json_field("gate_wall_ms_serial", json_f64(r.gate_serial.wall_ms)),
-                json_field("gate_wall_ms_batched", json_f64(r.gate_batched.wall_ms)),
-                json_field("switches_per_request_serial", json_f64(2.0)),
-                json_field(
-                    "switches_per_request_batched",
-                    json_f64(r.switches_per_request_batched()),
-                ),
-                json_field("speedup_batch", json_f64(r.speedup_batch())),
             ];
-            if let Some((_, base_ms)) = baseline.iter().find(|(n, _)| n == r.name) {
-                fields.push(json_field("wall_ms_baseline", json_f64(*base_ms)));
-                fields.push(json_field("speedup", json_f64(base_ms / r.on.wall_ms)));
-                println!(
-                    "{:<10} baseline {:>8.1} ms -> {:>8.1} ms  speedup {:>5.2}x",
-                    r.name,
-                    base_ms,
-                    r.on.wall_ms,
-                    base_ms / r.on.wall_ms
-                );
-            } else {
-                // Without an external baseline the headline speedup is the
-                // cache on/off ratio.
-                fields.push(json_field("speedup", json_f64(r.speedup())));
-            }
+            fields.extend(r.wall_serial.json("gate_wall_ms_serial"));
+            fields.extend(r.wall_batched.json("gate_wall_ms_batched"));
+            fields.extend(r.wall_ratio.json("gate_wall_ratio"));
+            fields.push(json_str_field("gate_wall_verdict", wall_verdict(&r.wall_ratio)));
+            fields.push(json_field("switches_per_request_serial", json_f64(2.0)));
+            fields.push(json_field(
+                "switches_per_request_batched",
+                json_f64(r.switches_per_request_batched()),
+            ));
+            fields.push(json_field("speedup_batch", json_f64(r.speedup_batch())));
             json_object(&fields)
         })
         .collect();
     let doc = json_object(&[
         json_field("frames", BENCH_FRAMES),
         json_field("scale", scale),
-        json_field("runs_per_mode", reps),
+        json_field("reps", reps),
+        json_field("wall_ratio_limit", json_f64(WALL_RATIO_LIMIT)),
         json_field("results", veil_testkit::fmt::json_array(&items)),
     ]);
     std::fs::write(&out_path, format!("{doc}\n")).expect("write json");

@@ -28,8 +28,7 @@
 //! cycle-for-cycle — which is what makes the serial twin a meaningful
 //! differential baseline.
 //!
-//! Coalescing is *adaptive*, mirroring the `ADAPT_*` verdict-cache
-//! heuristic in `veil_snp::tlb`: deferral pays only when drains amortize
+//! Coalescing is *adaptive*: deferral pays only when drains amortize
 //! several requests under one switch pair, and a workload whose traffic
 //! pattern keeps forcing shallow drains (mixed targets, interleaved sync
 //! requests) pays ring bookkeeping for nothing. The gate watches the

@@ -1,15 +1,18 @@
-//! Stale-TLB attack regression tests.
+//! Revoke-then-fault regression tests.
 //!
-//! The software TLB and the RMP-verdict cache (PR 3) speed up the hot
-//! path, but a cache is also an attack surface: if a translation or a
-//! positive RMP verdict cached *before* a revocation event survives it,
-//! a domain keeps access the RMP says it no longer has. Each test here
-//! deliberately warms a cache, performs the revoking operation
-//! (`unmap`/`protect`/`RMPADJUST`/page-state change), and proves the
-//! `#PF`/`#NPF` still fires. One test drives the revocation through the
-//! hypervisor's GHCB page-state-change flow with every hostile
-//! [`HvPolicy`] knob engaged, so no policy combination can skip the
-//! flush.
+//! SEV-SNP requires that no translation or RMP verdict outlive the
+//! operation that revokes it (`unmap`, `protect`, `RMPADJUST`,
+//! `PVALIDATE`, page-state change, VMSA creation, a direct page-table
+//! edit): a domain that keeps access the RMP or the page tables say it
+//! no longer has breaks the paper's §3 isolation argument. Each test
+//! here first uses an access, performs the revoking operation, and
+//! proves the `#PF`/`#NPF` fires on the very next access. The machine
+//! walks the page tables and consults the RMP on every access, so these
+//! tests pin the property itself, not any caching strategy: one that
+//! is added later must keep them green. One test drives the revocation
+//! through the hypervisor's GHCB page-state-change flow with every
+//! hostile [`HvPolicy`] knob engaged, so no policy combination can skip
+//! it.
 //!
 //! [`HvPolicy`]: veil_hv::HvPolicy
 
@@ -25,9 +28,6 @@ const FRAMES: usize = 128;
 /// VMPL-3 address space with one page mapped at `VADDR`.
 fn setup() -> (Machine, AddressSpace, Vec<u64>, u64) {
     let mut m = Machine::new(MachineConfig { frames: FRAMES, ..Default::default() });
-    // The tests must exercise the cache even under `VEIL_NO_TLB=1` CI
-    // runs — they are only meaningful with caching force-enabled.
-    m.set_cache_enabled(true);
     let mut free: Vec<u64> = Vec::new();
     for gfn in 1..FRAMES as u64 {
         m.rmp_assign(gfn).unwrap();
@@ -49,15 +49,11 @@ const VADDR: u64 = 0x4000_0000;
 #[test]
 fn stale_translation_after_unmap_faults() {
     let (mut m, aspace, _free, pfn) = setup();
-    // Warm the translation cache and prove it is serving hits.
     aspace.read_virt(&m, VADDR, 8, Vmpl::Vmpl3, Cpl::Cpl3).unwrap();
-    let before = m.cache_stats();
-    aspace.read_virt(&m, VADDR, 8, Vmpl::Vmpl3, Cpl::Cpl3).unwrap();
-    assert!(m.cache_stats().tlb_hits > before.tlb_hits, "second walk must hit the TLB");
 
     assert_eq!(aspace.unmap(&mut m, Vmpl::Vmpl3, VADDR).unwrap(), pfn);
 
-    // The cached translation must not be honored after the unmap.
+    // The old translation must not be honored after the unmap.
     assert!(matches!(aspace.translate(&m, VADDR), Err(PtError::NotMapped { .. })));
     assert!(aspace.read_virt(&m, VADDR, 8, Vmpl::Vmpl3, Cpl::Cpl3).is_err());
 }
@@ -65,12 +61,12 @@ fn stale_translation_after_unmap_faults() {
 #[test]
 fn stale_translation_after_protect_faults_on_write() {
     let (mut m, aspace, _free, _pfn) = setup();
-    // Warm with a *write* so the writable flags are what gets cached.
+    // Write first, so the writable mapping is the one in use.
     aspace.write_virt(&mut m, VADDR, b"warmup!!", Vmpl::Vmpl3, Cpl::Cpl3).unwrap();
 
     aspace.protect(&mut m, Vmpl::Vmpl3, VADDR, PteFlags::user_ro()).unwrap();
 
-    // Reads still work; the cached writable PTE must be gone.
+    // Reads still work; the writable PTE must be gone.
     aspace.read_virt(&m, VADDR, 8, Vmpl::Vmpl3, Cpl::Cpl3).unwrap();
     assert!(matches!(
         aspace.write_virt(&mut m, VADDR, b"stale!!!", Vmpl::Vmpl3, Cpl::Cpl3),
@@ -81,11 +77,9 @@ fn stale_translation_after_protect_faults_on_write() {
 #[test]
 fn stale_verdict_after_rmpadjust_revoke_faults() {
     let (mut m, aspace, _free, pfn) = setup();
-    // Warm the verdict cache through the virtual path and directly.
+    // Access granted through the virtual path and directly.
     aspace.read_virt(&m, VADDR, 8, Vmpl::Vmpl3, Cpl::Cpl3).unwrap();
-    let before = m.cache_stats();
     m.read(Vmpl::Vmpl3, Machine::gpa(pfn), 8).unwrap();
-    assert!(m.cache_stats().verdict_hits > before.verdict_hits, "verdict must be cached");
 
     // VeilMon revokes VMPL-3 access (the §5.1 protection operation).
     m.rmpadjust(Vmpl::Vmpl0, pfn, Vmpl::Vmpl3, VmplPerms::empty()).unwrap();
@@ -102,11 +96,9 @@ fn stale_verdict_after_rmpadjust_revoke_faults() {
 fn stale_verdict_after_exec_revoke_faults() {
     let (mut m, _aspace, mut free, _pfn) = setup();
     let code = free.pop().unwrap();
-    // Warm the per-(vmpl, cpl) execute verdict.
-    m.check_exec(Vmpl::Vmpl3, Cpl::Cpl3, Machine::gpa(code)).unwrap();
     m.check_exec(Vmpl::Vmpl3, Cpl::Cpl3, Machine::gpa(code)).unwrap();
 
-    // Drop USER_EXEC but keep read/write: only the exec verdict dies.
+    // Drop USER_EXEC but keep read/write: only execution is revoked.
     m.rmpadjust(Vmpl::Vmpl0, code, Vmpl::Vmpl3, VmplPerms::rw()).unwrap();
 
     assert!(m.check_exec(Vmpl::Vmpl3, Cpl::Cpl3, Machine::gpa(code)).is_err());
@@ -115,18 +107,17 @@ fn stale_verdict_after_exec_revoke_faults() {
 
 #[test]
 fn stale_verdict_after_reassign_faults() {
-    // A verdict cached while a page was validated must not survive the
+    // Access granted while a page was validated must not survive the
     // page bouncing out to shared and back in as unvalidated.
     let (mut m, _aspace, mut free, _pfn) = setup();
     let gfn = free.pop().unwrap();
     m.read(Vmpl::Vmpl3, Machine::gpa(gfn), 8).unwrap();
-    m.read(Vmpl::Vmpl3, Machine::gpa(gfn), 8).unwrap(); // cached verdict
 
     m.pvalidate(Vmpl::Vmpl0, gfn, false).unwrap();
     m.rmp_reclaim(gfn).unwrap(); // private -> shared (scrubbed)
     m.rmp_assign(gfn).unwrap(); // shared -> assigned, NOT validated
 
-    // Unvalidated memory faults #NPF for every VMPL, cached or not.
+    // Unvalidated memory faults #NPF for every VMPL.
     assert!(m.read(Vmpl::Vmpl3, Machine::gpa(gfn), 8).is_err());
     assert!(m.read(Vmpl::Vmpl0, Machine::gpa(gfn), 8).is_err());
 }
@@ -136,7 +127,6 @@ fn stale_verdict_after_vmsa_create_faults() {
     let (mut m, _aspace, mut free, _pfn) = setup();
     let gfn = free.pop().unwrap();
     m.read(Vmpl::Vmpl0, Machine::gpa(gfn), 8).unwrap();
-    m.read(Vmpl::Vmpl0, Machine::gpa(gfn), 8).unwrap(); // cached verdict
 
     m.vmsa_create(Vmpl::Vmpl0, gfn, 0, Vmpl::Vmpl1, Cpl::Cpl0).unwrap();
 
@@ -150,12 +140,10 @@ fn stale_verdict_after_vmsa_create_faults() {
 #[test]
 fn direct_pt_edit_is_snooped() {
     // The OS editing page tables *directly* (no map/unmap/protect, no
-    // INVLPG) is exactly the case hardware handles with a broadcast
-    // shootdown. The model's write snoop must catch it: a raw checked
-    // write to a frame the walker has used as a page table flushes the
-    // translation cache.
+    // INVLPG) is the case hardware handles with a broadcast shootdown:
+    // the next walk must see the edited tables.
     let (mut m, aspace, _free, _pfn) = setup();
-    aspace.read_virt(&m, VADDR, 8, Vmpl::Vmpl3, Cpl::Cpl3).unwrap(); // warm
+    aspace.read_virt(&m, VADDR, 8, Vmpl::Vmpl3, Cpl::Cpl3).unwrap();
 
     // Find the leaf table frame and zero the whole thing through the
     // plain write path (a hostile or buggy kernel scribbling on tables).
@@ -163,196 +151,42 @@ fn direct_pt_edit_is_snooped() {
     let leaf = *tables.last().unwrap();
     m.write(Vmpl::Vmpl0, Machine::gpa(leaf), &[0u8; 4096]).unwrap();
 
-    // The cached translation for VADDR must be gone with the PTE.
+    // The translation for VADDR must be gone with the PTE.
     assert!(matches!(aspace.translate(&m, VADDR), Err(PtError::NotMapped { .. })));
     assert!(aspace.read_virt(&m, VADDR, 8, Vmpl::Vmpl3, Cpl::Cpl3).is_err());
 }
 
-/// One scripted action against a (machine, address-space) pair in the
-/// same-gfn churn twin test below.
-#[derive(Debug, Clone, Copy)]
-enum Churn {
-    /// VMPL-0 RMPADJUSTs `target`'s permissions on the contended gfn.
-    Adjust(Vmpl, u8),
-    /// Physical read of the contended gfn from `vmpl`.
-    ReadPhys(Vmpl),
-    /// Physical write to the contended gfn from `vmpl`.
-    WritePhys(Vmpl),
-    /// Instruction fetch from the contended gfn.
-    Exec(Vmpl, Cpl),
-    /// Remaps the contended page's VA read-only (`true`) or rw.
-    Protect(bool),
-    /// VMPL-3 virtual read through the mapping.
-    ReadVirt,
-    /// VMPL-3 virtual write through the mapping.
-    WriteVirt,
-    /// VMPL-0 flips validation of the contended gfn off/on.
-    Validate(bool),
-}
-
-/// A machine + VMPL-3 address space with one page mapped at `VADDR`,
-/// with caching forced on or off — the twin halves of the lockstep
-/// test.
-fn churn_world(cache: bool) -> (Machine, AddressSpace, u64) {
-    let mut m = Machine::new(MachineConfig { frames: FRAMES, ..Default::default() });
-    m.set_cache_enabled(cache);
-    let mut free: Vec<u64> = Vec::new();
-    for gfn in 1..FRAMES as u64 {
-        m.rmp_assign(gfn).unwrap();
-        m.pvalidate(Vmpl::Vmpl0, gfn, true).unwrap();
-        for v in [Vmpl::Vmpl1, Vmpl::Vmpl2, Vmpl::Vmpl3] {
-            m.rmpadjust(Vmpl::Vmpl0, gfn, v, VmplPerms::all()).unwrap();
-        }
-        free.push(gfn);
-    }
-    free.reverse();
-    let aspace = AddressSpace::new(&mut m, Vmpl::Vmpl3, &mut free).unwrap();
-    let pfn = free.pop().unwrap();
-    aspace.map(&mut m, Vmpl::Vmpl3, &mut free, VADDR, pfn, PteFlags::user_data()).unwrap();
-    (m, aspace, pfn)
-}
-
-/// Applies one churn step and renders the verdict as a comparable
-/// string (`Debug` of the full error, so causes must match exactly —
-/// not just the ok/err bit).
-fn churn_step(step: Churn, m: &mut Machine, aspace: &AddressSpace, gfn: u64) -> String {
-    match step {
-        Churn::Adjust(target, bits) => format!(
-            "{:?}",
-            m.rmpadjust(Vmpl::Vmpl0, gfn, target, VmplPerms::from_bits_truncate(bits))
-        ),
-        Churn::ReadPhys(v) => format!("{:?}", m.read(v, Machine::gpa(gfn), 8).map(|_| ())),
-        Churn::WritePhys(v) => format!("{:?}", m.write(v, Machine::gpa(gfn), b"churn!!!")),
-        Churn::Exec(v, cpl) => format!("{:?}", m.check_exec(v, cpl, Machine::gpa(gfn))),
-        Churn::Protect(ro) => {
-            let flags = if ro { PteFlags::user_ro() } else { PteFlags::user_data() };
-            format!("{:?}", aspace.protect(m, Vmpl::Vmpl3, VADDR, flags))
-        }
-        Churn::ReadVirt => {
-            format!("{:?}", aspace.read_virt(m, VADDR, 8, Vmpl::Vmpl3, Cpl::Cpl3).map(|_| ()))
-        }
-        Churn::WriteVirt => {
-            format!("{:?}", aspace.write_virt(m, VADDR, b"virtwrit", Vmpl::Vmpl3, Cpl::Cpl3))
-        }
-        Churn::Validate(on) => format!("{:?}", m.pvalidate(Vmpl::Vmpl0, gfn, on)),
-    }
-}
-
-/// Interleaved protect/access/RMPADJUST churn on the SAME gfn across
-/// every VMPL, run in lockstep on a caches-on and a caches-off twin.
-/// Every step's exact verdict (including fault cause) must agree — the
-/// strongest form of the "a cache may never change semantics" claim,
-/// aimed precisely at the revoke-then-re-grant windows where stale
-/// entries would hide.
-#[test]
-fn cache_twins_agree_under_same_gfn_cross_vmpl_churn() {
-    use Churn::*;
-    let script = [
-        // Warm every cache flavor: translations, verdicts, exec checks.
-        ReadVirt,
-        WriteVirt,
-        ReadPhys(Vmpl::Vmpl1),
-        Exec(Vmpl::Vmpl3, Cpl::Cpl3),
-        // Revoke VMPL-3 write; the cached writable verdicts must die.
-        Adjust(Vmpl::Vmpl3, 0b0101),
-        WriteVirt,
-        WritePhys(Vmpl::Vmpl3),
-        ReadVirt,
-        // Re-grant, then immediately revoke everything below VMPL-1.
-        Adjust(Vmpl::Vmpl3, 0b1111),
-        WriteVirt,
-        Adjust(Vmpl::Vmpl3, 0b0000),
-        Adjust(Vmpl::Vmpl2, 0b0000),
-        ReadVirt,
-        ReadPhys(Vmpl::Vmpl2),
-        ReadPhys(Vmpl::Vmpl1),
-        // PTE-level churn racing the RMP-level churn on the same gfn.
-        Adjust(Vmpl::Vmpl3, 0b0011),
-        Protect(true),
-        WriteVirt,
-        ReadVirt,
-        Protect(false),
-        WriteVirt,
-        // Exec-permission flip-flop at both rings.
-        Adjust(Vmpl::Vmpl3, 0b0111),
-        Exec(Vmpl::Vmpl3, Cpl::Cpl3),
-        Exec(Vmpl::Vmpl3, Cpl::Cpl0),
-        Adjust(Vmpl::Vmpl3, 0b1011),
-        Exec(Vmpl::Vmpl3, Cpl::Cpl3),
-        Exec(Vmpl::Vmpl3, Cpl::Cpl0),
-        // Validation bounce: everything must fault while invalid, and
-        // only VMPL-0 regains access after revalidation (RMPADJUST
-        // grants survive, lower levels were zeroed above... except
-        // VMPL-3 holds 0b1011 from the flip-flop).
-        Validate(false),
-        ReadPhys(Vmpl::Vmpl0),
-        ReadVirt,
-        Validate(true),
-        ReadPhys(Vmpl::Vmpl0),
-        ReadPhys(Vmpl::Vmpl3),
-        ReadVirt,
-        WriteVirt,
-    ];
-
-    let (mut hot, hot_as, gfn_hot) = churn_world(true);
-    let (mut cold, cold_as, gfn_cold) = churn_world(false);
-    assert_eq!(gfn_hot, gfn_cold, "twins must contend on the same gfn");
-
-    for (i, step) in script.iter().enumerate() {
-        let h = churn_step(*step, &mut hot, &hot_as, gfn_hot);
-        let c = churn_step(*step, &mut cold, &cold_as, gfn_cold);
-        assert_eq!(h, c, "twin divergence at step {i} ({step:?}): caches-on {h} vs caches-off {c}");
-    }
-    // The caches-on twin must actually have been exercising its caches,
-    // or the lockstep proved nothing.
-    let stats = hot.cache_stats();
-    assert!(stats.tlb_hits > 0, "script never hit the TLB");
-    assert!(stats.verdict_hits > 0, "script never hit the verdict cache");
-    assert_eq!(cold.cache_stats().tlb_hits, 0);
-}
-
-/// RMPADJUST on one VMPL's permissions must not disturb another VMPL's
-/// cached verdicts for the same gfn — targeted invalidation, observed
-/// through verdict equality with an uncached twin rather than through
-/// cache internals.
+/// RMPADJUST on one VMPL's permissions must revoke exactly that VMPL's
+/// access to the gfn and leave every other VMPL's verdicts intact.
 #[test]
 fn rmpadjust_for_one_vmpl_keeps_other_vmpls_correct_on_same_gfn() {
-    use Churn::*;
-    let (mut hot, hot_as, gfn) = churn_world(true);
-    let (mut cold, cold_as, _) = churn_world(false);
+    let (mut m, _aspace, _free, gfn) = setup();
+    let gpa = Machine::gpa(gfn);
+    m.read(Vmpl::Vmpl1, gpa, 8).unwrap();
+    m.read(Vmpl::Vmpl2, gpa, 8).unwrap();
 
-    // Warm verdicts for VMPL-1 and VMPL-2 on the contended gfn, then
-    // churn only VMPL-3's mask and check the others stay live and
-    // correct at every point.
-    let script = [
-        ReadPhys(Vmpl::Vmpl1),
-        ReadPhys(Vmpl::Vmpl2),
-        Adjust(Vmpl::Vmpl3, 0b0000),
-        ReadPhys(Vmpl::Vmpl1),
-        ReadPhys(Vmpl::Vmpl2),
-        ReadPhys(Vmpl::Vmpl3),
-        Adjust(Vmpl::Vmpl1, 0b0001),
-        WritePhys(Vmpl::Vmpl1),
-        ReadPhys(Vmpl::Vmpl1),
-        ReadPhys(Vmpl::Vmpl2),
-    ];
-    for (i, step) in script.iter().enumerate() {
-        let h = churn_step(*step, &mut hot, &hot_as, gfn);
-        let c = churn_step(*step, &mut cold, &cold_as, gfn);
-        assert_eq!(h, c, "twin divergence at step {i} ({step:?})");
-    }
+    // Revoke everything from VMPL-3 only.
+    m.rmpadjust(Vmpl::Vmpl0, gfn, Vmpl::Vmpl3, VmplPerms::empty()).unwrap();
+    m.read(Vmpl::Vmpl1, gpa, 8).unwrap();
+    m.read(Vmpl::Vmpl2, gpa, 8).unwrap();
+    assert!(m.read(Vmpl::Vmpl3, gpa, 8).is_err());
+
+    // Drop VMPL-1 to read-only: its write dies, VMPL-2 is untouched.
+    m.rmpadjust(Vmpl::Vmpl0, gfn, Vmpl::Vmpl1, VmplPerms::r()).unwrap();
+    assert!(m.write(Vmpl::Vmpl1, gpa, b"churn!!!").is_err());
+    m.read(Vmpl::Vmpl1, gpa, 8).unwrap();
+    m.read(Vmpl::Vmpl2, gpa, 8).unwrap();
+    m.write(Vmpl::Vmpl2, gpa, b"churn!!!").unwrap();
 }
 
 #[test]
 fn psc_to_shared_under_hostile_policy_kills_cached_state() {
     // Drive the revocation through the hypervisor's GHCB page-state
     // machinery with every hostile policy knob engaged. No knob may
-    // bypass the PSC cache flush: a verdict cached while the page was
-    // validated private memory must not be honored once the page has
-    // left and re-entered the private domain.
+    // let access granted while the page was validated private memory be
+    // honored once the page has left and re-entered the private domain.
     let machine = Machine::new(MachineConfig { frames: 256, ..MachineConfig::default() });
     let mut hv = Hypervisor::new(machine);
-    hv.machine.set_cache_enabled(true);
     hv.policy = HvPolicy {
         relay_interrupts_to_unt: false,
         tamper_vmsa_on_switch: true,
@@ -366,15 +200,12 @@ fn psc_to_shared_under_hostile_policy_kills_cached_state() {
     hv.machine.set_ghcb_msr(0, 20); // frame 20 is still shared
     let ghcb = Ghcb::at(&hv.machine, 20).unwrap();
 
-    // Guest takes the page private, validates, and warms the caches.
+    // Guest takes the page private, validates, and uses it.
     ghcb.write_request(&mut hv.machine, Vmpl::Vmpl0, GhcbExit::PageStateChange, gfn, 1).unwrap();
     assert_eq!(hv.vmgexit(0, false).unwrap(), HvResponse::PageStateChanged);
     hv.machine.pvalidate(Vmpl::Vmpl0, gfn, true).unwrap();
     hv.machine.write(Vmpl::Vmpl0, Machine::gpa(gfn), b"secret").unwrap();
     hv.machine.read(Vmpl::Vmpl0, Machine::gpa(gfn), 8).unwrap();
-    let warm = hv.machine.cache_stats();
-    hv.machine.read(Vmpl::Vmpl0, Machine::gpa(gfn), 8).unwrap();
-    assert!(hv.machine.cache_stats().verdict_hits > warm.verdict_hits);
 
     // Page-state change back to shared (hypervisor-observed), then the
     // host hands the same gfn back as private-but-unvalidated.
@@ -384,7 +215,7 @@ fn psc_to_shared_under_hostile_policy_kills_cached_state() {
     ghcb.write_request(&mut hv.machine, Vmpl::Vmpl0, GhcbExit::PageStateChange, gfn, 1).unwrap();
     assert_eq!(hv.vmgexit(0, false).unwrap(), HvResponse::PageStateChanged);
 
-    // #NPF must fire: the pre-PSC verdict is dead, the page is not
+    // #NPF must fire: the pre-PSC access is dead, the page is not
     // validated, and the scrub removed the old contents.
     assert!(hv.machine.read(Vmpl::Vmpl0, Machine::gpa(gfn), 8).is_err());
     hv.machine.pvalidate(Vmpl::Vmpl0, gfn, true).unwrap();
