@@ -60,7 +60,7 @@ fn parse_hex32(s: &str) -> Option<[u8; 32]> {
 /// the default layout, hashed by the firmware stage — no boot required.
 fn canonical_measurement() -> [u8; 32] {
     let layout = Layout::compute(&LayoutConfig::default());
-    veil_core::firmware::measure_image(&veil_boot_image(&layout), layout.boot_vmsa)
+    veil_snp::attest::measure_launch(&veil_boot_image(&layout), layout.boot_vmsa)
 }
 
 /// A verifier provisioned with the simulation's default trust material:

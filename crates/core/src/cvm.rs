@@ -16,6 +16,7 @@ use veil_os::error::OsError;
 use veil_os::kernel::{Kernel, KernelConfig, KernelCtx, KernelSys};
 use veil_os::monitor::{MonitorChannel, NativeMonitor};
 use veil_os::process::Pid;
+use veil_snp::attest::measure_launch;
 use veil_snp::machine::{Machine, MachineConfig};
 use veil_snp::mem::PAGE_SIZE;
 use veil_snp::perms::Vmpl;
@@ -36,7 +37,7 @@ pub struct CvmBuilder {
     trace: Option<bool>,
     metrics: Option<bool>,
     batch: Option<bool>,
-    attest: Option<bool>,
+    attest: bool,
     expected_measurement: Option<[u8; 32]>,
     image_tamper: Option<(usize, usize)>,
     shard: u32,
@@ -63,7 +64,7 @@ impl CvmBuilder {
             trace: None,
             metrics: None,
             batch: None,
-            attest: None,
+            attest: false,
             expected_measurement: None,
             image_tamper: None,
             shard: 0,
@@ -138,17 +139,12 @@ impl CvmBuilder {
     /// Enables/disables the VMPL-0 firmware measurement stage (measured
     /// boot; see [`crate::firmware`]). When enforced, the staged boot image
     /// is hashed *before* launch and the build fails fast with
-    /// [`OsError::FirmwareRefused`] on any mismatch. When not set
-    /// explicitly the `VEIL_ATTEST` environment variable decides (any
-    /// value other than `0` enforces). The stage is pure pre-boot
-    /// computation, so enforcement never changes trace digests.
+    /// [`OsError::FirmwareRefused`] on any mismatch. Defaults to off. The
+    /// stage is pure pre-boot computation, so enforcement never changes
+    /// trace digests.
     pub fn attest(mut self, enforced: bool) -> Self {
-        self.attest = Some(enforced);
+        self.attest = enforced;
         self
-    }
-
-    fn attest_enabled(&self) -> bool {
-        self.attest.unwrap_or_else(crate::firmware::env_enforced)
     }
 
     /// Pins the launch measurement the firmware stage must observe. When
@@ -212,12 +208,12 @@ impl CvmBuilder {
             let offset = offset % data.len();
             data[offset] ^= 0xff;
         }
-        if self.attest_enabled() {
+        if self.attest {
             // The firmware measurement stage: hash what is about to boot,
             // refuse before a single payload instruction runs.
-            let expected = self.expected_measurement.unwrap_or_else(|| {
-                crate::firmware::measure_image(&veil_boot_image(&layout), layout.boot_vmsa)
-            });
+            let expected = self
+                .expected_measurement
+                .unwrap_or_else(|| measure_launch(&veil_boot_image(&layout), layout.boot_vmsa));
             crate::firmware::enforce(expected, &image, layout.boot_vmsa)?;
         }
         hv.launch(&image, layout.boot_vmsa)?;
@@ -558,20 +554,23 @@ mod tests {
 
     #[test]
     fn firmware_stage_accepts_pristine_image_without_perturbing_boot() {
-        let attested = CvmBuilder::new().frames(2048).attest(true).build_with(NoServices).unwrap();
-        let plain = CvmBuilder::new().frames(2048).attest(false).build_with(NoServices).unwrap();
-        assert_eq!(
-            attested.hv.machine.launch_measurement(),
-            plain.hv.machine.launch_measurement(),
-            "enforcement is pure pre-boot computation"
-        );
-        assert_eq!(attested.veil_boot_cycles, plain.veil_boot_cycles);
+        for (frames, vcpus, log_frames) in [(2048, 1, 16), (2048, 4, 32), (4096, 2, 64)] {
+            let builder = CvmBuilder::new().frames(frames).vcpus(vcpus).log_frames(log_frames);
+            let layout = Layout::compute(&builder.layout_config());
+            let pre_boot = measure_launch(&veil_boot_image(&layout), layout.boot_vmsa);
+            let attested = builder.clone().attest(true).build_with(NoServices).unwrap();
+            let plain = builder.attest(false).build_with(NoServices).unwrap();
+            let label = format!("frames {frames}, vcpus {vcpus}, log_frames {log_frames}");
+            assert_eq!(attested.hv.machine.launch_measurement(), Some(pre_boot), "{label}");
+            assert_eq!(plain.hv.machine.launch_measurement(), Some(pre_boot), "{label}");
+            assert_eq!(attested.veil_boot_cycles, plain.veil_boot_cycles, "{label}");
+        }
     }
 
     #[test]
     fn firmware_stage_honours_pinned_measurement() {
         let layout = Layout::compute(&LayoutConfig::default());
-        let good = crate::firmware::measure_image(&veil_boot_image(&layout), layout.boot_vmsa);
+        let good = measure_launch(&veil_boot_image(&layout), layout.boot_vmsa);
         CvmBuilder::new().attest(true).expected_measurement(good).build_with(NoServices).unwrap();
         let err = CvmBuilder::new()
             .attest(true)

@@ -4,40 +4,22 @@
 //! the payload: hash what is about to boot, compare against a provisioned
 //! value, and *refuse to boot* on mismatch — fail-fast, before the payload
 //! executes a single instruction. Veil's simulated firmware does the same
-//! for the VeilMon + services image: [`measure_image`] computes the launch
-//! measurement the SEV firmware *will* produce for a staged boot image, and
-//! [`enforce`] rejects the boot with [`OsError::FirmwareRefused`] when it
-//! does not match the expected value.
+//! for the VeilMon + services image: [`enforce`] computes the launch
+//! measurement the SEV firmware *will* produce for a staged boot image
+//! ([`veil_snp::attest::measure_launch`], the same function the launch
+//! path records) and rejects the boot with [`OsError::FirmwareRefused`]
+//! when it does not match the expected value.
 //!
 //! The stage is pure computation over the staged bytes (no machine, no
 //! cycles), so enabling enforcement never perturbs trace digests: a CVM
-//! booted with `VEIL_ATTEST=1` is byte-identical to one booted without.
+//! booted with enforcement is byte-identical to one booted without.
 //!
-//! Enforcement is opt-in per builder ([`crate::cvm::CvmBuilder::attest`])
-//! or fleet-wide via the `VEIL_ATTEST` environment variable; the expected
-//! measurement defaults to the canonical Veil image for the chosen layout
-//! and can be pinned explicitly for golden tests.
+//! Enforcement is opt-in per builder ([`crate::cvm::CvmBuilder::attest`]);
+//! the expected measurement defaults to the canonical Veil image for the
+//! chosen layout and can be pinned explicitly for golden tests.
 
 use veil_os::error::OsError;
-use veil_snp::attest::LaunchMeasurement;
-use veil_snp::mem::PAGE_SIZE;
-
-/// Computes the launch measurement the SEV firmware will produce for
-/// `boot_image` plus the (zeroed) boot VMSA frame at `vmsa_gfn` — the exact
-/// digest [`veil_hv::Hypervisor::launch`] returns, computed *before* any
-/// page is loaded. This is the firmware stage's pre-boot hash.
-pub fn measure_image(boot_image: &[(u64, Vec<u8>)], vmsa_gfn: u64) -> [u8; 32] {
-    let mut measurement = LaunchMeasurement::new();
-    let mut page = vec![0u8; PAGE_SIZE];
-    for (gfn, data) in boot_image {
-        page.fill(0);
-        page[..data.len()].copy_from_slice(data);
-        measurement.add_page(*gfn, &page);
-    }
-    page.fill(0);
-    measurement.add_page(vmsa_gfn, &page);
-    measurement.finalize()
-}
+use veil_snp::attest::measure_launch;
 
 /// The fail-fast gate: compares the pre-boot measurement of `boot_image`
 /// against `expected` and refuses the boot on any difference.
@@ -50,17 +32,11 @@ pub fn enforce(
     boot_image: &[(u64, Vec<u8>)],
     vmsa_gfn: u64,
 ) -> Result<[u8; 32], OsError> {
-    let actual = measure_image(boot_image, vmsa_gfn);
+    let actual = measure_launch(boot_image, vmsa_gfn);
     if actual != expected {
         return Err(OsError::FirmwareRefused { expected, actual });
     }
     Ok(actual)
-}
-
-/// Whether `VEIL_ATTEST` requests firmware enforcement (any value other
-/// than `0`). Builder-level settings override this.
-pub fn env_enforced() -> bool {
-    std::env::var_os("VEIL_ATTEST").is_some_and(|v| v != *"0")
 }
 
 #[cfg(test)]
@@ -73,17 +49,17 @@ mod tests {
 
     #[test]
     fn measure_is_deterministic_and_input_sensitive() {
-        let a = measure_image(&image(), 3);
-        assert_eq!(a, measure_image(&image(), 3));
+        let a = measure_launch(&image(), 3);
+        assert_eq!(a, measure_launch(&image(), 3));
         let mut mutated = image();
         mutated[0].1[0] ^= 1;
-        assert_ne!(a, measure_image(&mutated, 3), "content change must change digest");
-        assert_ne!(a, measure_image(&image(), 4), "vmsa placement must change digest");
+        assert_ne!(a, measure_launch(&mutated, 3), "content change must change digest");
+        assert_ne!(a, measure_launch(&image(), 4), "vmsa placement must change digest");
     }
 
     #[test]
     fn enforce_accepts_exact_and_refuses_mutation() {
-        let expected = measure_image(&image(), 3);
+        let expected = measure_launch(&image(), 3);
         assert_eq!(enforce(expected, &image(), 3), Ok(expected));
         let mut mutated = image();
         mutated[1].1[2] ^= 0xff;

@@ -6,10 +6,10 @@ use std::collections::BTreeSet;
 use veil_crypto::{DhKeyPair, DhPublic, Drbg};
 use veil_hv::Hypervisor;
 use veil_os::error::OsError;
-use veil_snp::attest::AttestationReport;
 use veil_snp::cost::CostCategory;
 use veil_snp::machine::Machine;
 use veil_snp::perms::{Vmpl, VmplPerms};
+use veil_snp::vcek::ChainReport;
 use veil_trace::Event;
 
 /// Cycle statistics of the one-time boot flow, for the §9.1 boot bench.
@@ -317,15 +317,20 @@ impl Monitor {
 
     // ---- attestation + secure channel (§5.1) -------------------------------------
 
-    /// Requests an attestation report from `Dom_MON` carrying a fresh DH
-    /// public value, beginning secure-channel establishment with the
-    /// remote user.
-    pub fn begin_channel(&mut self, hv: &mut Hypervisor) -> Option<(AttestationReport, DhPublic)> {
+    /// Requests a chain attestation report from `Dom_MON` that answers the
+    /// remote user's `challenge` and binds a fresh DH public value (the
+    /// first 32 bytes of its report data), beginning secure-channel
+    /// establishment.
+    pub fn begin_channel(
+        &mut self,
+        hv: &mut Hypervisor,
+        challenge: [u8; 32],
+    ) -> Option<(ChainReport, DhPublic)> {
         let seed = self.drbg.next_bytes32();
         let dh = DhKeyPair::from_seed(&seed);
         let mut report_data = [0u8; 64];
         report_data[..32].copy_from_slice(&dh.public.0.to_be_bytes());
-        let report = hv.machine.attest(Vmpl::Vmpl0, report_data)?;
+        let report = hv.machine.attest_chain(Vmpl::Vmpl0, challenge, report_data)?;
         let public = dh.public;
         self.dh = Some(dh);
         hv.machine.trace_event(Event::ChannelHandshake { step: 0 });
@@ -360,6 +365,7 @@ impl Monitor {
 mod tests {
     use super::*;
     use crate::layout::LayoutConfig;
+    use crate::remote::{RemoteUser, SecureChannel};
     use veil_snp::machine::{Machine, MachineConfig};
     use veil_snp::mem::gpa_of;
 
@@ -461,14 +467,15 @@ mod tests {
     #[test]
     fn secure_channel_end_to_end() {
         let (mut hv, mut monitor) = boot_monitor(2048, 1);
-        let (report, mon_pub) = monitor.begin_channel(&mut hv).unwrap();
-        // Remote side: verify report, check VMPL-0 origin, derive key.
-        assert!(report.verify(&hv.machine.device_verification_key()));
-        assert_eq!(report.vmpl, Vmpl::Vmpl0);
-        let user = DhKeyPair::from_seed(&[9; 32]);
-        let user_secret = user.agree(&mon_pub);
-        monitor.complete_channel(&mut hv, &user.public).unwrap();
-        assert_eq!(monitor.channel_key(), Some(user_secret.0));
+        let (report, mon_pub) = monitor.begin_channel(&mut hv, [4; 32]).unwrap();
+        // Remote side: verify the chain (VMPL-0 origin, fresh challenge),
+        // check the DH binding, derive the key.
+        let golden = hv.machine.launch_measurement().unwrap();
+        let mut user = RemoteUser::new(hv.machine.kds_verifier(golden), &[9; 32]);
+        let mut user_chan = user.verify_and_derive(&report, &[4; 32], &mon_pub).unwrap();
+        monitor.complete_channel(&mut hv, &user.public()).unwrap();
+        let mut mon_chan = SecureChannel::new(monitor.channel_key().unwrap());
+        assert_eq!(user_chan.open(&mon_chan.seal(b"key agreed")).unwrap(), b"key agreed");
     }
 
     #[test]

@@ -1,61 +1,30 @@
 //! The remote user: attestation verification and the secure channel.
 //!
 //! The paper's trust bootstrap (§5.1): the remote user receives a signed
-//! attestation digest naming the boot-image measurement and the VMPL of
+//! attestation report naming the boot-image measurement and the VMPL of
 //! the requesting software. Only a report from VMPL-0 proves it is
-//! talking to VeilMon. The report carries VeilMon's DH public value; the
-//! user completes the exchange and all further traffic (log retrieval,
-//! enclave measurements, user secrets) flows over the authenticated
-//! encrypted channel.
+//! talking to VeilMon. The report is the same VCEK-chain
+//! [`ChainReport`] VeilS-ATT serves, checked by the same
+//! [`ChainVerifier`]; its report data carries VeilMon's DH public value.
+//! The user completes the exchange and all further traffic (log
+//! retrieval, enclave measurements, user secrets) flows over the
+//! authenticated encrypted channel.
 
 use veil_crypto::{ChaCha20, DhKeyPair, DhPublic, HmacSha256};
-use veil_snp::attest::AttestationReport;
-use veil_snp::perms::Vmpl;
-
-/// Why the remote user rejected an attestation report.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AttestError {
-    /// Device signature invalid.
-    BadSignature,
-    /// The requester was not VMPL-0 (e.g. the OS impersonating VeilMon).
-    WrongVmpl(Vmpl),
-    /// Measurement differs from the user's golden value.
-    WrongMeasurement,
-    /// Report data does not carry the expected DH binding.
-    BadBinding,
-}
-
-impl std::fmt::Display for AttestError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AttestError::BadSignature => write!(f, "invalid device signature"),
-            AttestError::WrongVmpl(v) => write!(f, "report requested from {v}, not VMPL-0"),
-            AttestError::WrongMeasurement => write!(f, "boot image measurement mismatch"),
-            AttestError::BadBinding => write!(f, "DH public value not bound in report"),
-        }
-    }
-}
-
-impl std::error::Error for AttestError {}
+use veil_snp::vcek::{ChainReport, ChainVerifier, VerifyError};
 
 /// The remote user's verifier state.
 #[derive(Debug)]
 pub struct RemoteUser {
-    device_key: [u8; 32],
-    /// Golden measurement (None = trust-on-first-use).
-    pub expected_measurement: Option<[u8; 32]>,
+    verifier: ChainVerifier,
     dh: DhKeyPair,
 }
 
 impl RemoteUser {
-    /// A user who knows the device verification key and (optionally) the
-    /// golden boot-image measurement.
-    pub fn new(
-        device_key: [u8; 32],
-        expected_measurement: Option<[u8; 32]>,
-        seed: &[u8; 32],
-    ) -> Self {
-        RemoteUser { device_key, expected_measurement, dh: DhKeyPair::from_seed(seed) }
+    /// A user who trusts `verifier` (out-of-band VCEKs plus the golden
+    /// boot-image measurement) and draws its DH key pair from `seed`.
+    pub fn new(verifier: ChainVerifier, seed: &[u8; 32]) -> Self {
+        RemoteUser { verifier, dh: DhKeyPair::from_seed(seed) }
     }
 
     /// The user's DH public value (sent to VeilMon to complete the
@@ -64,31 +33,25 @@ impl RemoteUser {
         self.dh.public
     }
 
-    /// Verifies a report + monitor public value and derives the session.
+    /// Verifies a report answering `challenge` plus the monitor's public
+    /// value, and derives the session.
     ///
     /// # Errors
     ///
-    /// Any [`AttestError`] aborts channel establishment.
+    /// Any [`VerifyError`] from the chain aborts channel establishment;
+    /// [`VerifyError::BadBinding`] when the verified report does not bind
+    /// `monitor_public`.
     pub fn verify_and_derive(
-        &self,
-        report: &AttestationReport,
+        &mut self,
+        report: &ChainReport,
+        challenge: &[u8; 32],
         monitor_public: &DhPublic,
-    ) -> Result<SecureChannel, AttestError> {
-        if !report.verify(&self.device_key) {
-            return Err(AttestError::BadSignature);
-        }
-        if report.vmpl != Vmpl::Vmpl0 {
-            return Err(AttestError::WrongVmpl(report.vmpl));
-        }
-        if let Some(golden) = self.expected_measurement {
-            if report.measurement != golden {
-                return Err(AttestError::WrongMeasurement);
-            }
-        }
+    ) -> Result<SecureChannel, VerifyError> {
+        self.verifier.verify(report, challenge)?;
         // The report must bind the DH public value (first 32 bytes of
         // report_data), preventing a relay that swaps keys.
         if report.report_data[..32] != monitor_public.0.to_be_bytes() {
-            return Err(AttestError::BadBinding);
+            return Err(VerifyError::BadBinding);
         }
         Ok(SecureChannel::new(self.dh.agree(monitor_public).0))
     }
@@ -182,22 +145,34 @@ impl SecureChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use veil_snp::attest::AttestationReport;
+    use veil_snp::perms::Vmpl;
+    use veil_snp::vcek::{self, TcbVersion};
 
-    const DEVICE_KEY: [u8; 32] = [0xd0; 32];
+    const TCB: TcbVersion = TcbVersion(1);
+    const GOLDEN: [u8; 32] = [7; 32];
+    const CHALLENGE: [u8; 32] = [0xc4; 32];
 
-    fn report_with(vmpl: Vmpl, dh_pub: &DhPublic, measurement: [u8; 32]) -> AttestationReport {
+    fn chip_seed() -> [u8; 32] {
+        vcek::chip_seed(&[0xd0; 32])
+    }
+
+    fn user() -> RemoteUser {
+        RemoteUser::new(ChainVerifier::with_kds(&chip_seed(), TCB, TCB, GOLDEN), &[2; 32])
+    }
+
+    fn report_with(vmpl: Vmpl, dh_pub: &DhPublic, measurement: [u8; 32]) -> ChainReport {
         let mut data = [0u8; 64];
         data[..32].copy_from_slice(&dh_pub.0.to_be_bytes());
-        AttestationReport::sign(&DEVICE_KEY, measurement, vmpl, data)
+        ChainReport::issue(&chip_seed(), TCB, measurement, vmpl, CHALLENGE, data)
     }
 
     #[test]
     fn happy_path_channel() {
         let monitor_dh = DhKeyPair::from_seed(&[1; 32]);
-        let user = RemoteUser::new(DEVICE_KEY, Some([7; 32]), &[2; 32]);
-        let report = report_with(Vmpl::Vmpl0, &monitor_dh.public, [7; 32]);
-        let mut user_chan = user.verify_and_derive(&report, &monitor_dh.public).unwrap();
+        let mut user = user();
+        let report = report_with(Vmpl::Vmpl0, &monitor_dh.public, GOLDEN);
+        let mut user_chan =
+            user.verify_and_derive(&report, &CHALLENGE, &monitor_dh.public).unwrap();
         // Monitor side derives the mirror channel.
         let mut mon_chan = SecureChannel::new(monitor_dh.agree(&user.public()).0);
         let sealed = mon_chan.seal(b"audit log batch #1");
@@ -207,22 +182,20 @@ mod tests {
     #[test]
     fn os_impersonation_detected() {
         let dh = DhKeyPair::from_seed(&[1; 32]);
-        let user = RemoteUser::new(DEVICE_KEY, None, &[2; 32]);
-        let report = report_with(Vmpl::Vmpl3, &dh.public, [7; 32]);
+        let report = report_with(Vmpl::Vmpl3, &dh.public, GOLDEN);
         assert_eq!(
-            user.verify_and_derive(&report, &dh.public).unwrap_err(),
-            AttestError::WrongVmpl(Vmpl::Vmpl3)
+            user().verify_and_derive(&report, &CHALLENGE, &dh.public).unwrap_err(),
+            VerifyError::WrongVmpl(Vmpl::Vmpl3)
         );
     }
 
     #[test]
     fn wrong_measurement_detected() {
         let dh = DhKeyPair::from_seed(&[1; 32]);
-        let user = RemoteUser::new(DEVICE_KEY, Some([7; 32]), &[2; 32]);
         let report = report_with(Vmpl::Vmpl0, &dh.public, [8; 32]);
         assert_eq!(
-            user.verify_and_derive(&report, &dh.public).unwrap_err(),
-            AttestError::WrongMeasurement
+            user().verify_and_derive(&report, &CHALLENGE, &dh.public).unwrap_err(),
+            VerifyError::WrongMeasurement
         );
     }
 
@@ -230,11 +203,22 @@ mod tests {
     fn swapped_dh_key_detected() {
         let dh = DhKeyPair::from_seed(&[1; 32]);
         let mitm = DhKeyPair::from_seed(&[6; 32]);
-        let user = RemoteUser::new(DEVICE_KEY, None, &[2; 32]);
-        let report = report_with(Vmpl::Vmpl0, &dh.public, [7; 32]);
+        let report = report_with(Vmpl::Vmpl0, &dh.public, GOLDEN);
         assert_eq!(
-            user.verify_and_derive(&report, &mitm.public).unwrap_err(),
-            AttestError::BadBinding
+            user().verify_and_derive(&report, &CHALLENGE, &mitm.public).unwrap_err(),
+            VerifyError::BadBinding
+        );
+    }
+
+    #[test]
+    fn replayed_handshake_report_detected() {
+        let dh = DhKeyPair::from_seed(&[1; 32]);
+        let mut user = user();
+        let report = report_with(Vmpl::Vmpl0, &dh.public, GOLDEN);
+        assert!(user.verify_and_derive(&report, &CHALLENGE, &dh.public).is_ok());
+        assert_eq!(
+            user.verify_and_derive(&report, &CHALLENGE, &dh.public).unwrap_err(),
+            VerifyError::Replayed
         );
     }
 

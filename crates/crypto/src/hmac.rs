@@ -1,9 +1,10 @@
 //! HMAC-SHA-256 (RFC 2104 / FIPS 198-1).
 //!
-//! Veil uses HMAC-SHA-256 to sign attestation reports with the simulated
-//! device key, to authenticate sealed enclave pages during collaborative
-//! demand paging (§6.2), to verify kernel-module signatures in VeilS-KCI
-//! (§6.1), and to authenticate log-retrieval requests in VeilS-LOG (§6.3).
+//! Veil uses HMAC-SHA-256 to sign chain attestation reports under the
+//! measurement-bound attestation key, to authenticate sealed enclave
+//! pages during collaborative demand paging (§6.2), to verify
+//! kernel-module signatures in VeilS-KCI (§6.1), and to authenticate
+//! log-retrieval requests in VeilS-LOG (§6.3).
 
 use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
 

@@ -22,7 +22,7 @@
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;
-use veil_snp::attest::LaunchMeasurement;
+use veil_snp::attest::measure_launch;
 use veil_snp::cost::CostCategory;
 use veil_snp::fault::{HaltReason, SnpError};
 use veil_snp::ghcb::{Ghcb, GhcbExit};
@@ -242,14 +242,13 @@ impl Hypervisor {
         boot_image: &[(u64, Vec<u8>)],
         vmsa_gfn: u64,
     ) -> Result<[u8; 32], SnpError> {
-        let mut measurement = LaunchMeasurement::new();
         for (gfn, page) in boot_image {
-            self.machine.launch_load(*gfn, page, &mut measurement)?;
+            self.machine.launch_load(*gfn, page)?;
         }
         // The boot VMSA frame is part of the launch set too.
-        self.machine.launch_load(vmsa_gfn, &[], &mut measurement)?;
+        self.machine.launch_load(vmsa_gfn, &[])?;
         self.machine.launch_create_boot_vmsa(vmsa_gfn, 0)?;
-        let digest = measurement.finalize();
+        let digest = measure_launch(boot_image, vmsa_gfn);
         self.machine.launch_finalize(digest);
         let mut boot =
             VcpuSvm { vcpu_id: 0, domain_vmsas: BTreeMap::new(), current_vmpl: Vmpl::Vmpl0 };

@@ -10,8 +10,8 @@
 //! chain offline against VCEKs obtained out of band.
 //!
 //! Reports claim VMPL-0: the evidence covers the VeilMon TCB that
-//! provisioned this service, matching the existing channel-handshake path
-//! (`Monitor::begin_channel`).
+//! provisioned this service. The §5.1 channel handshake
+//! (`Monitor::begin_channel`) uses the same report type and verifier.
 
 use veil_hv::Hypervisor;
 use veil_os::error::OsError;
@@ -31,7 +31,7 @@ impl VeilAttest {
 
     /// Produces the serialized chain report for `nonce`/`report_data`.
     /// Runs on the trusted side after the gate's switch; the firmware
-    /// round trip charges one domain switch like the legacy `attest` path.
+    /// round trip charges one domain switch, as in the channel handshake.
     ///
     /// # Errors
     ///
@@ -61,7 +61,7 @@ impl VeilAttest {
 mod tests {
     use super::*;
     use veil_snp::machine::{Machine, MachineConfig};
-    use veil_snp::vcek::{ChainReport, ChainVerifier, TcbVersion};
+    use veil_snp::vcek::ChainReport;
 
     #[test]
     fn report_requires_finalized_launch() {
@@ -74,9 +74,7 @@ mod tests {
         assert_eq!(att.report_count(), 1);
         // The bytes verify against the machine's own KDS-derived VCEK.
         let report = ChainReport::from_bytes(&bytes).unwrap();
-        let tcb = hv.machine.tcb_version();
-        let mut v = ChainVerifier::new(hv.machine.launch_measurement().unwrap(), TcbVersion(0));
-        v.trust_tcb(tcb, hv.machine.kds_vcek(tcb));
+        let mut v = hv.machine.kds_verifier(hv.machine.launch_measurement().unwrap());
         assert_eq!(v.verify(&report, &[7; 32]), Ok(()));
     }
 }

@@ -308,7 +308,7 @@ mod tests {
     #[test]
     fn attest_report_served_over_the_gate() {
         use veil_os::monitor::{MonRequest, MonResponse, MonitorChannel};
-        use veil_snp::vcek::{ChainReport, ChainVerifier, TcbVersion};
+        use veil_snp::vcek::ChainReport;
 
         let mut cvm = CvmBuilder::new().frames(2048).build().unwrap();
         let nonce = [0x41; 32];
@@ -321,10 +321,8 @@ mod tests {
 
         // Offline verification with KDS-style out-of-band VCEK.
         let report = ChainReport::from_bytes(&bytes).unwrap();
-        let tcb = cvm.hv.machine.tcb_version();
         let mut verifier =
-            ChainVerifier::new(cvm.hv.machine.launch_measurement().unwrap(), TcbVersion(0));
-        verifier.trust_tcb(tcb, cvm.hv.machine.kds_vcek(tcb));
+            cvm.hv.machine.kds_verifier(cvm.hv.machine.launch_measurement().unwrap());
         assert_eq!(verifier.verify(&report, &nonce), Ok(()));
         // Replaying the same report must fail.
         assert!(verifier.verify(&report, &nonce).is_err());

@@ -1,96 +1,38 @@
-//! Launch measurement and attestation reports.
+//! Launch measurement.
 //!
 //! During CVM launch, a SHA-256 hash of the boot disk image is generated
-//! and sent in a signed digest to the remote user (§5.1). The report also
-//! names the VMPL of the requesting software and carries 64 bytes of
-//! requester data (e.g. a Diffie–Hellman public key), which is how the
-//! remote user knows they are talking to VMPL-0 VeilMon and not the
-//! untrusted OS.
-//!
-//! The signature is modelled with HMAC-SHA-256 under a per-device key:
-//! the real VCEK is an ECDSA key certified by AMD, but the trust structure
-//! (device-bound key, verifier obtains the public half out of band) is the
-//! same.
+//! and later carried in every attestation report to the remote user
+//! (§5.1). [`measure_launch`] is the one definition of that digest: the
+//! hypervisor's launch path records it and the VMPL-0 firmware stage
+//! recomputes it before boot. The reports themselves are the VCEK-chain
+//! [`crate::vcek::ChainReport`]s.
 
-use crate::perms::Vmpl;
-use veil_crypto::{HmacSha256, Sha256};
+use crate::mem::PAGE_SIZE;
+use veil_crypto::Sha256;
 
-/// Incremental launch-measurement builder (models the SEV firmware's
-/// launch-update digest).
-#[derive(Debug, Clone, Default)]
-pub struct LaunchMeasurement {
-    hasher: Sha256,
-    pages: u64,
-}
-
-impl LaunchMeasurement {
-    /// Starts a fresh measurement.
-    pub fn new() -> Self {
-        LaunchMeasurement { hasher: Sha256::new(), pages: 0 }
+/// The launch digest of `boot_image` (`(gfn, bytes)` pairs, each padded
+/// with zeros to a full frame) followed by the zeroed boot VMSA frame at
+/// `vmsa_gfn` — models the SEV firmware's launch-update digest.
+///
+/// # Panics
+///
+/// If a boot-image page is larger than a frame.
+pub fn measure_launch(boot_image: &[(u64, Vec<u8>)], vmsa_gfn: u64) -> [u8; 32] {
+    let mut hasher = Sha256::new();
+    let mut page = vec![0u8; PAGE_SIZE];
+    let vmsa = (vmsa_gfn, Vec::new());
+    for (gfn, data) in boot_image.iter().chain(std::iter::once(&vmsa)) {
+        page.fill(0);
+        page[..data.len()].copy_from_slice(data);
+        hasher.update(&gfn.to_le_bytes());
+        hasher.update(&page);
     }
-
-    /// Absorbs one boot-image page at its load address.
-    pub fn add_page(&mut self, gfn: u64, contents: &[u8]) {
-        self.hasher.update(&gfn.to_le_bytes());
-        self.hasher.update(contents);
-        self.pages += 1;
-    }
-
-    /// Number of pages measured so far.
-    pub fn pages(&self) -> u64 {
-        self.pages
-    }
-
-    /// Finalizes into the 32-byte launch digest.
-    pub fn finalize(self) -> [u8; 32] {
-        let mut outer = Sha256::new();
-        outer.update(b"veil-launch-v1");
-        outer.update(&self.pages.to_le_bytes());
-        outer.update(&self.hasher.finalize());
-        outer.finalize()
-    }
-}
-
-/// A signed attestation report.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AttestationReport {
-    /// The launch measurement of the boot image.
-    pub measurement: [u8; 32],
-    /// VMPL of the software that requested the report.
-    pub vmpl: Vmpl,
-    /// Requester-chosen data (e.g. DH public key + channel nonce).
-    pub report_data: [u8; 64],
-    /// Device signature over all of the above.
-    pub signature: [u8; 32],
-}
-
-impl AttestationReport {
-    /// Signs a report with the device key (called by the machine model).
-    pub fn sign(
-        device_key: &[u8; 32],
-        measurement: [u8; 32],
-        vmpl: Vmpl,
-        report_data: [u8; 64],
-    ) -> Self {
-        let mut report = AttestationReport { measurement, vmpl, report_data, signature: [0; 32] };
-        report.signature = report.compute_tag(device_key);
-        report
-    }
-
-    fn compute_tag(&self, device_key: &[u8; 32]) -> [u8; 32] {
-        let mut mac = HmacSha256::new(device_key);
-        mac.update(b"veil-attestation-report-v1");
-        mac.update(&self.measurement);
-        mac.update(&[self.vmpl as u8]);
-        mac.update(&self.report_data);
-        mac.finalize()
-    }
-
-    /// Verifies the report against the device verification key.
-    #[must_use]
-    pub fn verify(&self, device_key: &[u8; 32]) -> bool {
-        veil_crypto::ct::eq(&self.compute_tag(device_key), &self.signature)
-    }
+    let pages = boot_image.len() as u64 + 1;
+    let mut outer = Sha256::new();
+    outer.update(b"veil-launch-v1");
+    outer.update(&pages.to_le_bytes());
+    outer.update(&hasher.finalize());
+    outer.finalize()
 }
 
 #[cfg(test)]
@@ -99,42 +41,19 @@ mod tests {
 
     #[test]
     fn measurement_depends_on_content_and_address() {
-        let mut a = LaunchMeasurement::new();
-        a.add_page(0, b"image");
-        let mut b = LaunchMeasurement::new();
-        b.add_page(0, b"imagf");
-        let mut c = LaunchMeasurement::new();
-        c.add_page(1, b"image");
-        let (da, db, dc) = (a.finalize(), b.finalize(), c.finalize());
-        assert_ne!(da, db, "content changes digest");
-        assert_ne!(da, dc, "load address changes digest");
+        let image = |data: &[u8]| vec![(1, b"mon".to_vec()), (2, data.to_vec())];
+        let a = measure_launch(&image(b"ser"), 3);
+        assert_eq!(a, measure_launch(&image(b"ser"), 3), "deterministic");
+        assert_ne!(a, measure_launch(&image(b"sfr"), 3), "content changes digest");
+        let moved = [(1, b"mon".to_vec()), (4, b"ser".to_vec())];
+        assert_ne!(a, measure_launch(&moved, 3), "load address changes digest");
+        assert_ne!(a, measure_launch(&image(b"ser"), 4), "vmsa placement changes digest");
     }
 
     #[test]
     fn measurement_is_order_sensitive() {
-        let mut a = LaunchMeasurement::new();
-        a.add_page(0, b"one");
-        a.add_page(1, b"two");
-        let mut b = LaunchMeasurement::new();
-        b.add_page(1, b"two");
-        b.add_page(0, b"one");
-        assert_ne!(a.finalize(), b.finalize());
-    }
-
-    #[test]
-    fn report_verifies_and_detects_tampering() {
-        let key = [7u8; 32];
-        let report = AttestationReport::sign(&key, [1; 32], Vmpl::Vmpl0, [2; 64]);
-        assert!(report.verify(&key));
-
-        let mut forged = report.clone();
-        forged.vmpl = Vmpl::Vmpl3; // OS pretending to be the monitor
-        assert!(!forged.verify(&key));
-
-        let mut forged = report.clone();
-        forged.report_data[0] ^= 1;
-        assert!(!forged.verify(&key));
-
-        assert!(!report.verify(&[8u8; 32]), "wrong device key");
+        let a = measure_launch(&[(0, b"one".to_vec()), (1, b"two".to_vec())], 2);
+        let b = measure_launch(&[(1, b"two".to_vec()), (0, b"one".to_vec())], 2);
+        assert_ne!(a, b);
     }
 }

@@ -7,7 +7,6 @@
 //! would; the hypervisor must use the `hv_*` accessors, which only reach
 //! hypervisor-shared pages (the CVM's memory is encrypted to it).
 
-use crate::attest::AttestationReport;
 use crate::cost::{CostCategory, CostModel, CycleAccount};
 use crate::fault::{HaltReason, NestedPageFault, NpfCause, SnpError};
 use crate::mem::{gfn_of, GuestMemory, PAGE_SIZE};
@@ -23,8 +22,8 @@ use veil_trace::{Event, Tracer};
 pub struct MachineConfig {
     /// Guest-physical memory size in 4 KiB frames.
     pub frames: usize,
-    /// Seed for the unique per-device attestation key (models the
-    /// AMD-fused VCEK).
+    /// Fused per-device secret; roots the chip seed of the VCEK chain
+    /// (see [`crate::vcek::chip_seed`]).
     pub device_key_seed: [u8; 32],
     /// TCB version the firmware reports in chain attestation (models the
     /// SNP TCB_VERSION fuse state the VCEK is derived against).
@@ -85,7 +84,6 @@ pub struct Machine {
     cost: CostModel,
     cycles: CycleAccount,
     halted: Option<HaltReason>,
-    device_key: [u8; 32],
     /// Fused per-chip secret rooting the VCEK derivation chain. Never
     /// readable by guest software; only the firmware paths below use it.
     chip_seed: [u8; 32],
@@ -116,7 +114,6 @@ pub struct Machine {
 impl Machine {
     /// Creates a machine with all pages hypervisor-shared (pre-launch).
     pub fn new(config: MachineConfig) -> Self {
-        let device_key = veil_crypto::HmacSha256::mac(&config.device_key_seed, b"veil-device-key");
         let chip_seed = crate::vcek::chip_seed(&config.device_key_seed);
         let metrics_enabled = veil_metrics::env_enabled();
         let mut metrics = MetricsRegistry::new();
@@ -132,7 +129,6 @@ impl Machine {
             cost: config.cost,
             cycles: CycleAccount::new(),
             halted: None,
-            device_key,
             chip_seed,
             tcb_version: config.tcb_version,
             launch_measurement: None,
@@ -624,18 +620,14 @@ impl Machine {
     // ---- attestation -------------------------------------------------------
 
     /// SEV firmware launch step: assigns `gfn`, copies one boot-image page
-    /// in (encrypting it, conceptually), validates it, and extends the
-    /// launch measurement. Only usable before [`Machine::launch_finalize`].
+    /// in (encrypting it, conceptually) and validates it. Only usable
+    /// before [`Machine::launch_finalize`]; the digest over the loaded
+    /// pages is [`crate::attest::measure_launch`].
     ///
     /// # Errors
     ///
     /// Fails if launch already finalized or the page is not shared.
-    pub fn launch_load(
-        &mut self,
-        gfn: u64,
-        data: &[u8],
-        measurement: &mut crate::attest::LaunchMeasurement,
-    ) -> Result<(), SnpError> {
+    pub fn launch_load(&mut self, gfn: u64, data: &[u8]) -> Result<(), SnpError> {
         assert!(data.len() <= PAGE_SIZE, "boot page larger than a frame");
         if self.launch_measurement.is_some() {
             return Err(SnpError::Halted(HaltReason::SecurityViolation(
@@ -654,7 +646,6 @@ impl Machine {
         let mut page = vec![0u8; PAGE_SIZE];
         page[..data.len()].copy_from_slice(data);
         self.mem.write_raw(Self::gpa(gfn), &page);
-        measurement.add_page(gfn, &page);
         Ok(())
     }
 
@@ -676,28 +667,13 @@ impl Machine {
         self.launch_measurement
     }
 
-    /// Produces a signed attestation report for software at `vmpl`,
-    /// embedding `report_data` (e.g. a DH public key). Models the
-    /// SNP_GUEST_REQUEST flow (§5.1).
-    pub fn attest(&mut self, vmpl: Vmpl, report_data: [u8; 64]) -> Option<AttestationReport> {
-        let measurement = self.launch_measurement?;
-        // Firmware round trip is a guest exit; charge a switch.
-        let cycles = self.cost.domain_switch();
-        self.charge(CostCategory::Other, cycles);
-        Some(AttestationReport::sign(&self.device_key, measurement, vmpl, report_data))
-    }
-
-    /// The device verification key (given to the remote user out of band;
-    /// models the VCEK certificate chain).
-    pub fn device_verification_key(&self) -> [u8; 32] {
-        self.device_key
-    }
-
-    /// Produces a full VCEK-chain attestation report for software at `vmpl`:
-    /// chip seed → TCB-versioned VCEK → measurement-bound attestation key,
-    /// with DICE-style certificates for both stages (see [`crate::vcek`]).
-    /// Like [`Machine::attest`], the firmware round trip costs one domain
-    /// switch; returns `None` before launch finalizes.
+    /// Produces a VCEK-chain attestation report for software at `vmpl`,
+    /// answering the verifier's `nonce` and embedding `report_data` (e.g.
+    /// a DH public key). Models the SNP_GUEST_REQUEST flow (§5.1): chip
+    /// seed → TCB-versioned VCEK → measurement-bound attestation key, with
+    /// DICE-style certificates for both stages (see [`crate::vcek`]). The
+    /// firmware round trip is a guest exit and costs one domain switch;
+    /// returns `None` before launch finalizes.
     pub fn attest_chain(
         &mut self,
         vmpl: Vmpl,
@@ -705,6 +681,7 @@ impl Machine {
         report_data: [u8; 64],
     ) -> Option<crate::vcek::ChainReport> {
         let measurement = self.launch_measurement?;
+        // Firmware round trip is a guest exit; charge a switch.
         let cycles = self.cost.domain_switch();
         self.charge(CostCategory::Other, cycles);
         Some(crate::vcek::ChainReport::issue(
@@ -722,10 +699,15 @@ impl Machine {
         self.tcb_version
     }
 
-    /// Plays the AMD KDS role: hands out the VCEK for `tcb` so a remote
-    /// verifier can check chain reports without ever seeing the chip seed.
-    pub fn kds_vcek(&self, tcb: crate::vcek::TcbVersion) -> [u8; 32] {
-        crate::vcek::derive_vcek(&self.chip_seed, tcb)
+    /// Plays the AMD KDS role: a verifier for `expected_measurement` that
+    /// trusts this chip's VCEK at its current TCB (and nothing older), so
+    /// a remote user checks chain reports without ever seeing the chip
+    /// seed.
+    pub fn kds_verifier(&self, expected_measurement: [u8; 32]) -> crate::vcek::ChainVerifier {
+        let tcb = self.tcb_version;
+        let mut verifier = crate::vcek::ChainVerifier::new(expected_measurement, tcb);
+        verifier.trust_tcb(tcb, crate::vcek::derive_vcek(&self.chip_seed, tcb));
+        verifier
     }
 
     /// Number of guest frames.
@@ -889,10 +871,10 @@ mod tests {
     #[test]
     fn attestation_requires_launch() {
         let mut m = machine();
-        assert!(m.attest(Vmpl::Vmpl0, [0; 64]).is_none());
+        assert!(m.attest_chain(Vmpl::Vmpl0, [2; 32], [0; 64]).is_none());
         m.launch_finalize([9; 32]);
-        let report = m.attest(Vmpl::Vmpl0, [1; 64]).unwrap();
-        assert!(report.verify(&m.device_verification_key()));
+        let report = m.attest_chain(Vmpl::Vmpl0, [2; 32], [1; 64]).unwrap();
+        assert_eq!(m.kds_verifier([9; 32]).verify(&report, &[2; 32]), Ok(()));
         assert_eq!(report.measurement, [9; 32]);
         assert_eq!(report.vmpl, Vmpl::Vmpl0);
     }

@@ -5,6 +5,7 @@
 use veil::prelude::*;
 use veil_snp::mem::gpa_of;
 use veil_snp::perms::Vmpl;
+use veil_snp::vcek::VerifyError;
 
 fn main() {
     // Boot a confidential VM with the full Veil stack: VeilMon at
@@ -48,12 +49,20 @@ fn main() {
 
     // Remote attestation: only VMPL-0 software can speak for the CVM.
     let golden = cvm.hv.machine.launch_measurement().unwrap();
-    let user = RemoteUser::new(cvm.hv.machine.device_verification_key(), Some(golden), &[1; 32]);
-    let (report, mon_pub) = cvm.gate.monitor.begin_channel(&mut cvm.hv).unwrap();
-    let channel = user.verify_and_derive(&report, &mon_pub);
-    println!("\nremote user verified VeilMon's attestation: {}", channel.is_ok());
+    let mut user = RemoteUser::new(cvm.hv.machine.kds_verifier(golden), &[1; 32]);
+    let challenge = [0x9c; 32];
+    let (report, mon_pub) = cvm.gate.monitor.begin_channel(&mut cvm.hv, challenge).unwrap();
+    let mut channel = user.verify_and_derive(&report, &challenge, &mon_pub).expect("attestation");
+    println!("\nremote user verified VeilMon's {} chain report", report.vmpl);
     cvm.gate.monitor.complete_channel(&mut cvm.hv, &user.public()).unwrap();
+    let mut mon_channel = SecureChannel::new(cvm.gate.monitor.channel_key().unwrap());
+    assert_eq!(channel.open(&mon_channel.seal(b"hello")).unwrap(), b"hello");
     println!("secure channel established with Dom_MON");
+
+    // The same report presented again is a replay, and is refused.
+    let replay = user.verify_and_derive(&report, &challenge, &mon_pub);
+    println!("replayed handshake report -> {replay:?}");
+    assert_eq!(replay.err(), Some(VerifyError::Replayed));
 
     println!("\nquickstart complete — see the other examples for the protected services.");
 }

@@ -179,8 +179,9 @@ fn golden_channel_handshake_trace() {
     // Enabling resets the stream, so the digest covers just the handshake.
     cvm.hv.set_trace(true);
     let user = veil::crypto::DhKeyPair::from_seed(&[7; 32]);
-    let (report, mon_pub) = cvm.gate.monitor.begin_channel(&mut cvm.hv).unwrap();
-    assert!(report.verify(&cvm.hv.machine.device_verification_key()));
+    let (report, mon_pub) = cvm.gate.monitor.begin_channel(&mut cvm.hv, [7; 32]).unwrap();
+    let golden = cvm.hv.machine.launch_measurement().unwrap();
+    assert_eq!(cvm.hv.machine.kds_verifier(golden).verify(&report, &[7; 32]), Ok(()));
     let _secret = user.agree(&mon_pub);
     cvm.gate.monitor.complete_channel(&mut cvm.hv, &user.public).unwrap();
     let counters = cvm.hv.machine.tracer().counters();

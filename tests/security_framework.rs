@@ -11,6 +11,7 @@ use veil_os::monitor::MonRequest;
 use veil_snp::machine::{Machine, MachineConfig};
 use veil_snp::mem::gpa_of;
 use veil_snp::perms::{Cpl, Vmpl};
+use veil_snp::vcek::VerifyError;
 
 fn cvm() -> Cvm {
     CvmBuilder::new().frames(2048).vcpus(1).build().expect("boot")
@@ -32,23 +33,20 @@ fn boot_time_malicious_disk_changes_measurement() {
     hv.launch(&evil_image, layout.boot_vmsa).expect("launch succeeds");
     let evil = hv.machine.launch_measurement().expect("measured");
 
-    // The remote user sees a different measurement and refuses.
+    // The remote user sees a different measurement and refuses. The evil
+    // machine's own firmware answers the user's challenge: the chain is
+    // genuine, so only the embedded (evil) measurement can give it away.
     assert_ne!(golden, evil, "tampered disk must change the measurement");
-    let user = RemoteUser::new(hv.machine.device_verification_key(), Some(golden), &[5; 32]);
-    let report = hv.machine.attest(Vmpl::Vmpl0, [0; 64]).expect("report");
-    // Any channel attempt binds the measurement; it mismatches.
+    let mut user = RemoteUser::new(honest.hv.machine.kds_verifier(golden), &[5; 32]);
+    let challenge = [0x51; 32];
     let dh = veil_crypto::DhKeyPair::from_seed(&[1; 32]);
-    let mut data = [0u8; 64];
-    data[..32].copy_from_slice(&dh.public.0.to_be_bytes());
-    let bound = veil_snp::attest::AttestationReport::sign(
-        // The attacker cannot sign with the device key themselves — this
-        // uses the real device, so the (evil) measurement is embedded.
-        &hv.machine.device_verification_key(),
-        report.measurement,
-        Vmpl::Vmpl0,
-        data,
+    let mut report_data = [0u8; 64];
+    report_data[..32].copy_from_slice(&dh.public.0.to_be_bytes());
+    let report = hv.machine.attest_chain(Vmpl::Vmpl0, challenge, report_data).expect("report");
+    assert_eq!(
+        user.verify_and_derive(&report, &challenge, &dh.public).unwrap_err(),
+        VerifyError::WrongMeasurement
     );
-    assert!(user.verify_and_derive(&bound, &dh.public).is_err());
 }
 
 /// Table 1, "Read/write at Dom_MON/Dom_SER" → restricted by VMPL.
