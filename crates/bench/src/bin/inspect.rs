@@ -23,9 +23,6 @@
 //! snapshots, fleet-wide critical-path attribution, and the top-K SLO
 //! offender table.
 
-use veil_crypto::DhKeyPair;
-use veil_os::sys::{OpenFlags, Sys};
-use veil_sdk::{install_enclave, EnclaveBinary, EnclaveRuntime, EnclaveSys};
 use veil_services::CvmBuilder;
 use veil_snp::perms::Vmpl;
 use veil_snp::rmp::PageState;
@@ -39,46 +36,19 @@ fn arg_u64(args: &[String], flag: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-/// Boots a CVM with the requested observability switches and drives the
-/// representative workload shared by `trace`, `metrics`, and `flame`:
-/// a secure-channel handshake (§5.1) followed by a few
-/// enclave-redirected syscalls (§6.2) — exercising domain switches,
-/// VMGEXIT/VMENTER pairs, and the audit pipeline. `None` leaves a
-/// switch under environment control (`VEIL_TRACE`/`VEIL_METRICS`), so
-/// CI can run `inspect trace` with metrics on and prove the digest
-/// does not move.
-fn observed_cvm(
-    frames: u64,
-    vcpus: u32,
-    trace: Option<bool>,
-    metrics: Option<bool>,
-) -> veil_services::Cvm {
-    let mut builder = CvmBuilder::new().frames(frames).vcpus(vcpus);
-    if let Some(trace) = trace {
-        builder = builder.trace(trace);
-    }
-    if let Some(metrics) = metrics {
-        builder = builder.metrics(metrics);
-    }
-    let mut cvm = builder.build().expect("boot");
-
-    let user = DhKeyPair::from_seed(&[7; 32]);
-    let (_report, _mon_pub) = cvm.gate.monitor.begin_channel(&mut cvm.hv, [7; 32]).expect("attest");
-    cvm.gate.monitor.complete_channel(&mut cvm.hv, &user.public).expect("channel");
-
-    let pid = cvm.spawn();
-    let handle =
-        install_enclave(&mut cvm, pid, &EnclaveBinary::build("inspect", 2048, 0)).expect("enclave");
-    let mut rt = EnclaveRuntime::new(handle);
-    {
-        let mut sys = EnclaveSys::activate(&mut cvm, &mut rt).expect("enter");
-        let fd = sys.open("/tmp/trace", OpenFlags::rdwr_create()).expect("open");
-        sys.write(fd, b"veil-trace").expect("write");
-        let mut buf = [0u8; 10];
-        sys.pread(fd, &mut buf, 0).expect("pread");
-        sys.close(fd).expect("close");
-    }
-    veil_sdk::runtime::park_enclave(&mut cvm, &mut rt).expect("park");
+/// Boots a CVM with the requested observability switches and drives
+/// [`veil_bench::observed_workload`], the workload shared by `trace`,
+/// `metrics`, and `flame`. That the trace digest does not move with
+/// metrics on is pinned in-process by `tests/metrics_invariants.rs`.
+fn observed_cvm(frames: u64, vcpus: u32, trace: bool, metrics: bool) -> veil_services::Cvm {
+    let mut cvm = CvmBuilder::new()
+        .frames(frames)
+        .vcpus(vcpus)
+        .trace(trace)
+        .metrics(metrics)
+        .build()
+        .expect("boot");
+    veil_bench::observed_workload(&mut cvm);
     cvm
 }
 
@@ -89,7 +59,7 @@ fn trace_mode(args: &[String]) {
     let last = arg_u64(args, "--last", 40) as usize;
     let json = args.iter().any(|a| a == "--json");
 
-    let cvm = observed_cvm(frames, vcpus, Some(true), None);
+    let cvm = observed_cvm(frames, vcpus, true, false);
     let records = cvm.trace_records();
     let counters = cvm.hv.machine.tracer().counters();
     let domain = cvm.domain_cycles();
@@ -142,7 +112,7 @@ fn metrics_mode(args: &[String]) {
     let json = args.iter().any(|a| a == "--json");
     let prom = args.iter().any(|a| a == "--prom");
 
-    let cvm = observed_cvm(frames, vcpus, None, Some(true));
+    let cvm = observed_cvm(frames, vcpus, false, true);
     if json {
         println!("{}", cvm.metrics_snapshot());
         return;
@@ -209,7 +179,7 @@ fn metrics_mode(args: &[String]) {
 fn flame_mode(args: &[String]) {
     let frames = arg_u64(args, "--frames", 4096);
     let vcpus = arg_u64(args, "--vcpus", 2) as u32;
-    let cvm = observed_cvm(frames, vcpus, None, Some(true));
+    let cvm = observed_cvm(frames, vcpus, false, true);
     print!("{}", cvm.spans().folded());
 }
 

@@ -18,10 +18,30 @@ use veil_bench::fmt::{
 };
 use veil_bench::*;
 
+/// Every experiment `--experiment` accepts, in run order.
+const EXPERIMENTS: [&str; 11] = [
+    "boot",
+    "switch",
+    "background",
+    "fig4",
+    "fig5",
+    "fig6",
+    "cs1",
+    "ltp",
+    "ablation-partition",
+    "ablation-exitless",
+    "ablation-auditd",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let experiment = flag_value(&args, "--experiment");
-    let scale: usize = flag_value(&args, "--scale").and_then(|s| s.parse().ok()).unwrap_or(1);
+    let (experiment, scale) = match parse_args(&args) {
+        Ok(parsed) => parsed,
+        Err(msg) => {
+            eprintln!("reproduce: {msg}");
+            std::process::exit(2);
+        }
+    };
 
     let want = |name: &str| experiment.as_deref().is_none_or(|e| e == name);
 
@@ -68,8 +88,37 @@ fn main() {
     }
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
+/// Value of `flag`: `Ok(None)` when the flag is absent, an error when it
+/// is present without a value.
+fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, String> {
+    match args.iter().position(|a| a == flag) {
+        None => Ok(None),
+        Some(i) => {
+            args.get(i + 1).cloned().map(Some).ok_or_else(|| format!("{flag} needs a value"))
+        }
+    }
+}
+
+/// Parses `--experiment` (one of [`EXPERIMENTS`]) and `--scale` (a
+/// positive integer, default 1). A typo is an error, not an empty run.
+fn parse_args(args: &[String]) -> Result<(Option<String>, usize), String> {
+    let experiment = flag_value(args, "--experiment")?;
+    if let Some(name) = &experiment {
+        if !EXPERIMENTS.contains(&name.as_str()) {
+            return Err(format!(
+                "unknown experiment `{name}`; valid names: {}",
+                EXPERIMENTS.join(", ")
+            ));
+        }
+    }
+    let scale = match flag_value(args, "--scale")? {
+        None => 1,
+        Some(v) => match v.parse::<usize>() {
+            Ok(n) if n > 0 => n,
+            _ => return Err(format!("--scale must be a positive integer, got `{v}`")),
+        },
+    };
+    Ok((experiment, scale))
 }
 
 /// Renders every selected experiment as one JSON object, for table
@@ -403,5 +452,55 @@ fn run_ablation_exitless(scale: usize) {
     row(&[("batch size", 12), ("SQLite overhead", 17)]);
     for r in ablation_exitless(400 * scale) {
         row(&[(&r.batch.to_string(), 12), (&pct(r.overhead), 17)]);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        std::iter::once("reproduce").chain(list.iter().copied()).map(String::from).collect()
+    }
+
+    #[test]
+    fn experiment_list_matches_dispatch() {
+        let mut names = EXPERIMENTS.to_vec();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), EXPERIMENTS.len(), "duplicate experiment name");
+        // Each name is dispatched once by the table renderer and once by
+        // the JSON renderer, so no listed name can silently print nothing.
+        let source = include_str!("reproduce.rs");
+        for name in EXPERIMENTS {
+            let call = format!("want(\"{name}\")");
+            assert_eq!(source.matches(&call).count(), 2, "{name} must be dispatched twice");
+        }
+    }
+
+    #[test]
+    fn parses_known_names_and_scales() {
+        assert_eq!(parse_args(&args(&[])), Ok((None, 1)));
+        for name in EXPERIMENTS {
+            assert_eq!(
+                parse_args(&args(&["--experiment", name, "--scale", "4"])),
+                Ok((Some(name.to_string()), 4))
+            );
+        }
+        assert_eq!(parse_args(&args(&["--json", "--scale", "2"])), Ok((None, 2)));
+    }
+
+    #[test]
+    fn rejects_unknown_names_and_bad_scales() {
+        let err = parse_args(&args(&["--experiment", "swtich"])).unwrap_err();
+        assert!(err.contains("`swtich`"), "{err}");
+        for name in EXPERIMENTS {
+            assert!(err.contains(name), "error must list `{name}`: {err}");
+        }
+        for bad in ["x", "0", "-1", "1.5"] {
+            assert!(parse_args(&args(&["--scale", bad])).is_err(), "--scale {bad}");
+        }
+        assert!(parse_args(&args(&["--experiment"])).is_err());
+        assert!(parse_args(&args(&["--scale"])).is_err());
     }
 }

@@ -34,9 +34,9 @@ pub struct CvmBuilder {
     ser_pool_frames: u64,
     shared_frames: u64,
     kci: bool,
-    trace: Option<bool>,
-    metrics: Option<bool>,
-    batch: Option<bool>,
+    trace: bool,
+    metrics: bool,
+    batch: bool,
     attest: bool,
     expected_measurement: Option<[u8; 32]>,
     image_tamper: Option<(usize, usize)>,
@@ -61,9 +61,9 @@ impl CvmBuilder {
             ser_pool_frames: d.ser_pool_frames,
             shared_frames: d.shared_frames,
             kci: true,
-            trace: None,
-            metrics: None,
-            batch: None,
+            trace: false,
+            metrics: false,
+            batch: true,
             attest: false,
             expected_measurement: None,
             image_tamper: None,
@@ -96,44 +96,27 @@ impl CvmBuilder {
     }
 
     /// Enables/disables deterministic event tracing (ring buffer + digest;
-    /// see `veil-trace`). When not set explicitly the `VEIL_TRACE`
-    /// environment variable decides (any value other than `0` enables).
-    /// Event-counter folds run regardless; only recording is gated.
+    /// see `veil-trace`). Defaults to off. Event-counter folds run
+    /// regardless; only recording is gated.
     pub fn trace(mut self, enabled: bool) -> Self {
-        self.trace = Some(enabled);
+        self.trace = enabled;
         self
-    }
-
-    fn trace_enabled(&self) -> bool {
-        self.trace.unwrap_or_else(|| std::env::var_os("VEIL_TRACE").is_some_and(|v| v != *"0"))
     }
 
     /// Enables/disables metrics collection (registry + span profiler; see
-    /// `veil-metrics`). When not set explicitly the `VEIL_METRICS`
-    /// environment variable decides (any value other than `0` enables).
-    /// Metrics never charge cycles or emit events, so trace digests are
-    /// identical either way.
+    /// `veil-metrics`). Defaults to off. Metrics never charge cycles or
+    /// emit events, so trace digests are identical either way.
     pub fn metrics(mut self, enabled: bool) -> Self {
-        self.metrics = Some(enabled);
+        self.metrics = enabled;
         self
-    }
-
-    fn metrics_enabled(&self) -> bool {
-        self.metrics.unwrap_or_else(veil_snp::metrics::env_enabled)
     }
 
     /// Enables/disables the batched gate path (per-VCPU request rings +
-    /// doorbell drains; see `veil_core::ring`). Defaults to *on*; when
-    /// not set explicitly the `VEIL_NO_BATCH` environment variable turns
-    /// it off (any value other than `0`), keeping the serial Fig. 3
-    /// protocol as a differential twin.
+    /// doorbell drains; see `veil_core::ring`). Defaults to on; `false`
+    /// selects the serial Fig. 3 protocol, the differential twin.
     pub fn batch(mut self, enabled: bool) -> Self {
-        self.batch = Some(enabled);
+        self.batch = enabled;
         self
-    }
-
-    fn batch_enabled(&self) -> bool {
-        self.batch.unwrap_or_else(|| std::env::var_os("VEIL_NO_BATCH").is_none_or(|v| v == *"0"))
     }
 
     /// Enables/disables the VMPL-0 firmware measurement stage (measured
@@ -199,8 +182,8 @@ impl CvmBuilder {
             ..Default::default()
         });
         let mut hv = Hypervisor::new(machine);
-        hv.set_trace(self.trace_enabled());
-        hv.set_metrics(self.metrics_enabled());
+        hv.set_trace(self.trace);
+        hv.set_metrics(self.metrics);
         let mut image = veil_boot_image(&layout);
         if let Some((page, offset)) = self.image_tamper {
             let page = page % image.len();
@@ -230,7 +213,7 @@ impl CvmBuilder {
         let veil_boot_cycles = hv.machine.cycles().total() - boot_start;
 
         let mut gate = VeilGate::new(monitor, services);
-        gate.set_batching(self.batch_enabled());
+        gate.set_batching(self.batch);
         let kconfig = KernelConfig {
             pool_start: layout.kernel_pool.start,
             pool_end: layout.kernel_pool.end,
@@ -268,8 +251,8 @@ impl CvmBuilder {
         let machine =
             Machine::new(MachineConfig { frames: self.frames as usize, ..Default::default() });
         let mut hv = Hypervisor::new(machine);
-        hv.set_trace(self.trace_enabled());
-        hv.set_metrics(self.metrics_enabled());
+        hv.set_trace(self.trace);
+        hv.set_metrics(self.metrics);
         // The native boot image is just the kernel.
         let image: Vec<(u64, Vec<u8>)> =
             layout.kernel_text.clone().map(|gfn| (gfn, image_page(gfn, "linux-guest"))).collect();

@@ -18,11 +18,13 @@
 //!   SHA-256 digest is golden-pinnable, and folded stacks for flamegraph
 //!   tooling ([`SpanProfiler::folded`]).
 //!
-//! Everything is runtime gated behind the `VEIL_METRICS` environment knob
-//! (see [`METRICS_ENV`]): disabled, every observation is a single-branch
-//! no-op, and because metrics never charge cycles, never emit events, and
-//! never touch the RNG, trace digests are bit-identical whether metrics
-//! are on or off (the CI `tier1-metrics` twin enforces this).
+//! Everything is runtime gated by [`MetricsRegistry::set_enabled`] (set
+//! from the `CvmBuilder::metrics` knob, off by default): disabled, every
+//! observation is a single-branch no-op, and because metrics never charge
+//! cycles, never emit events, and never touch the RNG, trace digests are
+//! bit-identical whether metrics are on or off (the in-process twin
+//! `tests/metrics_invariants.rs::metrics_are_observationally_inert`
+//! enforces this).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,12 +39,3 @@ pub mod export;
 pub use hist::{bucket_lower, bucket_of, nearest_rank, Histogram, BUCKETS};
 pub use registry::{domain_label, exit_code_label, Key, MetricsRegistry, DOMAIN_NONE};
 pub use span::{SpanProfiler, SpanStat};
-
-/// Environment variable that enables metrics collection when set to
-/// anything other than `0` (same contract as `VEIL_TRACE`).
-pub const METRICS_ENV: &str = "VEIL_METRICS";
-
-/// Whether `VEIL_METRICS` asks for metrics collection in this process.
-pub fn env_enabled() -> bool {
-    std::env::var_os(METRICS_ENV).is_some_and(|v| v != "0")
-}

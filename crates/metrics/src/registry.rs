@@ -95,8 +95,8 @@ impl MetricsRegistry {
 
     /// Enables or disables recording. Enabling **resets** all series (the
     /// same contract as `Tracer::set_enabled`), so a run that turns
-    /// metrics on observes only events from that point — deterministically
-    /// even if the `VEIL_METRICS` environment knob already enabled them.
+    /// metrics on observes only events from that point — deterministically,
+    /// even if metrics were already on.
     pub fn set_enabled(&mut self, enabled: bool) {
         if enabled {
             self.counters.clear();

@@ -115,11 +115,6 @@ impl Machine {
     /// Creates a machine with all pages hypervisor-shared (pre-launch).
     pub fn new(config: MachineConfig) -> Self {
         let chip_seed = crate::vcek::chip_seed(&config.device_key_seed);
-        let metrics_enabled = veil_metrics::env_enabled();
-        let mut metrics = MetricsRegistry::new();
-        metrics.set_enabled(metrics_enabled);
-        let mut spans = SpanProfiler::new();
-        spans.set_enabled(metrics_enabled);
         let mut tracer = Tracer::new();
         tracer.set_shard(config.shard);
         Machine {
@@ -136,8 +131,8 @@ impl Machine {
             tracer,
             current_domain: Vmpl::Vmpl0,
             domain_cycles: [0; 4],
-            metrics,
-            spans,
+            metrics: MetricsRegistry::new(),
+            spans: SpanProfiler::new(),
             shard: config.shard,
         }
     }
@@ -235,10 +230,10 @@ impl Machine {
         self.metrics.enabled()
     }
 
-    /// Enables or disables metrics collection. Enabling **resets** both
-    /// the registry and the profiler (the `Tracer::set_enabled` contract),
-    /// so runs that opt in programmatically observe a deterministic window
-    /// regardless of the `VEIL_METRICS` environment knob.
+    /// Enables or disables metrics collection (off when the machine is
+    /// created). Enabling **resets** both the registry and the profiler
+    /// (the `Tracer::set_enabled` contract), so a run that opts in
+    /// observes a deterministic window from that point on.
     pub fn set_metrics_enabled(&mut self, enabled: bool) {
         self.metrics.set_enabled(enabled);
         self.spans.set_enabled(enabled);

@@ -164,7 +164,7 @@ impl EventCounters {
 /// Enabling resets the stream (ring, sequence numbers, digest), so a test
 /// that calls `set_enabled(true)` observes only events from that point on —
 /// deterministically, even if tracing was already on (e.g. via the
-/// `VEIL_TRACE` environment knob).
+/// `CvmBuilder::trace` knob).
 #[derive(Debug, Clone)]
 pub struct Tracer {
     enabled: bool,

@@ -3,6 +3,11 @@
 //! first-party `veil-*` path dependency — no `rand`, no `proptest`, no
 //! `criterion`, nothing fetched from crates.io. The deterministic
 //! replacements live in `veil-testkit`.
+//!
+//! The library crates are hermetic in a second sense too: no library
+//! source reads the process environment. Configuration is an explicit
+//! builder knob (`CvmBuilder::trace/metrics/batch`); only binary entry
+//! points and the `veil-testkit` harness controls may consult env vars.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -135,6 +140,55 @@ fn no_source_file_references_removed_crates() {
                     !text.contains(banned),
                     "{}: references removed external crate (`{banned}`)",
                     path.display()
+                );
+            }
+        }
+    }
+}
+
+fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in fs::read_dir(dir).expect("readable dir") {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            rust_sources(&path, out);
+        } else if path.extension().and_then(|e| e.to_str()) == Some("rs") {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn library_sources_read_no_environment() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut sources = Vec::new();
+    for entry in fs::read_dir(root.join("crates")).expect("crates/ present") {
+        let krate = entry.expect("dir entry").path();
+        // The testkit's seed-replay, golden-regen and bench-JSON switches
+        // are test-harness controls, not library configuration.
+        if krate.file_name().and_then(|n| n.to_str()) == Some("testkit") {
+            continue;
+        }
+        let src = krate.join("src");
+        if src.is_dir() {
+            rust_sources(&src, &mut sources);
+        }
+    }
+    assert!(sources.len() >= 50, "expected the library sources, found {}", sources.len());
+
+    for path in &sources {
+        // Binary entry points parse their own environment.
+        if path.components().any(|c| c.as_os_str() == "bin") {
+            continue;
+        }
+        let text = fs::read_to_string(path).expect("readable source");
+        for (n, line) in text.lines().enumerate() {
+            for read in ["env::var", "var_os"] {
+                assert!(
+                    !line.contains(read),
+                    "{}:{}: library code reads the environment (`{read}`); make it a \
+                     builder knob and parse env only at a binary entry point",
+                    path.display(),
+                    n + 1
                 );
             }
         }

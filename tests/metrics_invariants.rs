@@ -8,8 +8,12 @@
 //!   well-formed folded-stack lines;
 //! * metrics collection is observationally inert: the trace digest,
 //!   cycle account, and hypervisor stats of a metrics-on run are
-//!   bit-identical to its metrics-off twin.
+//!   bit-identical to its metrics-off twin, for every twin case on both
+//!   gate protocols.
 
+mod common;
+
+use common::{BATCH, CASES};
 use veil::metrics::Histogram;
 use veil::prelude::*;
 use veil_testkit::{prop, prop_assert, prop_assert_eq};
@@ -155,25 +159,29 @@ fn http_workload_snapshot_digest_matches_golden() {
 
 #[test]
 fn metrics_are_observationally_inert() {
-    let run = |metrics: bool| {
-        let mut cvm =
-            CvmBuilder::new().frames(2048).vcpus(1).trace(true).metrics(metrics).build().unwrap();
-        let pid = cvm.spawn();
-        let mut driver = VeilUnshieldedDriver { cvm: &mut cvm, pid };
-        HttpWorkload::nginx(25).run(&mut driver).unwrap();
-        cvm
-    };
-    let on = run(true);
-    let off = run(false);
-    // Bit-identical externally visible behavior: measurement, cycles,
-    // per-domain attribution, hypervisor stats, and the trace digest.
-    assert_eq!(on.hv.machine.launch_measurement(), off.hv.machine.launch_measurement());
-    assert_eq!(on.hv.machine.cycles().total(), off.hv.machine.cycles().total());
-    assert_eq!(on.domain_cycles(), off.domain_cycles());
-    assert_eq!(on.hv.stats(), off.hv.stats());
-    assert_eq!(on.trace_digest_hex(), off.trace_digest_hex());
-    // Only the metrics-on twin accumulated anything.
-    assert!(!on.metrics().is_empty());
-    assert!(off.metrics().is_empty());
-    assert!(off.spans().is_empty());
+    for case in CASES {
+        for batch in BATCH {
+            let run =
+                |metrics: bool| case.run(CvmBuilder::new().trace(true).metrics(metrics), batch);
+            let on = run(true);
+            let off = run(false);
+            let at = format!("{case:?} at batch({batch})");
+            // Bit-identical externally visible behavior: measurement,
+            // cycles, per-domain attribution, hypervisor stats, and the
+            // trace digest.
+            assert_eq!(
+                on.hv.machine.launch_measurement(),
+                off.hv.machine.launch_measurement(),
+                "{at}"
+            );
+            assert_eq!(on.hv.machine.cycles().total(), off.hv.machine.cycles().total(), "{at}");
+            assert_eq!(on.domain_cycles(), off.domain_cycles(), "{at}");
+            assert_eq!(on.hv.stats(), off.hv.stats(), "{at}");
+            assert_eq!(on.trace_digest_hex(), off.trace_digest_hex(), "{at}");
+            // Only the metrics-on twin accumulated anything.
+            assert!(!on.metrics().is_empty(), "{at}");
+            assert!(off.metrics().is_empty(), "{at}");
+            assert!(off.spans().is_empty(), "{at}");
+        }
+    }
 }

@@ -9,8 +9,12 @@
 //! * folding the event stream reproduces the live counters and the
 //!   hypervisor's `HvStats` exactly (zero drift);
 //! * per-domain cycle attribution sums to the machine total;
-//! * disabling tracing records nothing and changes no behavior.
+//! * disabling tracing records nothing and changes no behavior, for
+//!   every twin case on both gate protocols.
 
+mod common;
+
+use common::{BATCH, CASES};
 use veil::prelude::*;
 use veil::trace::{invariants, Event, EventCounters};
 use veil_os::audit::{paper_ruleset, AuditMode};
@@ -173,32 +177,35 @@ fn domain_cycles_sum_to_machine_total() {
 
 #[test]
 fn disabled_tracing_records_nothing_and_changes_no_behavior() {
-    let run = |trace: bool| {
-        let mut cvm = CvmBuilder::new().frames(2048).vcpus(1).trace(trace).build().unwrap();
-        cvm.kernel.audit.mode = AuditMode::VeilLog;
-        cvm.kernel.audit.rules = paper_ruleset();
-        let pid = cvm.spawn();
-        let mut sys = cvm.sys(pid);
-        let fd = sys.open("/tmp/twin", OpenFlags::rdwr_create()).unwrap();
-        sys.write(fd, b"twin").unwrap();
-        sys.close(fd).unwrap();
-        cvm
-    };
-    let traced = run(true);
-    let silent = run(false);
-    // Identical behavior: same measurement, same cycles, same stats.
-    assert_eq!(traced.hv.machine.launch_measurement(), silent.hv.machine.launch_measurement());
-    assert_eq!(traced.hv.machine.cycles().total(), silent.hv.machine.cycles().total());
-    assert_eq!(traced.hv.stats(), silent.hv.stats());
-    assert_eq!(traced.domain_cycles(), silent.domain_cycles());
-    // But only the traced twin recorded anything.
-    assert!(!traced.trace_records().is_empty());
-    assert!(silent.trace_records().is_empty());
-    assert_eq!(
-        silent.trace_digest_hex(),
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "disabled tracer digests the empty stream"
-    );
+    for case in CASES {
+        for batch in BATCH {
+            let run = |trace: bool| case.run(CvmBuilder::new().trace(trace), batch);
+            let traced = run(true);
+            let silent = run(false);
+            let at = format!("{case:?} at batch({batch})");
+            // Identical behavior: same measurement, same cycles, same stats.
+            assert_eq!(
+                traced.hv.machine.launch_measurement(),
+                silent.hv.machine.launch_measurement(),
+                "{at}"
+            );
+            assert_eq!(
+                traced.hv.machine.cycles().total(),
+                silent.hv.machine.cycles().total(),
+                "{at}"
+            );
+            assert_eq!(traced.hv.stats(), silent.hv.stats(), "{at}");
+            assert_eq!(traced.domain_cycles(), silent.domain_cycles(), "{at}");
+            // But only the traced twin recorded anything.
+            assert!(!traced.trace_records().is_empty(), "{at}");
+            assert!(silent.trace_records().is_empty(), "{at}");
+            assert_eq!(
+                silent.trace_digest_hex(),
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                "{at}: disabled tracer digests the empty stream"
+            );
+        }
+    }
 }
 
 // ---- satellite 3: property test over random workload schedules ----------
