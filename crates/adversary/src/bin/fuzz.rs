@@ -25,9 +25,9 @@
 use std::time::Instant;
 
 use veil_adversary::{case_seed, run_fuzz, run_sequence, sequence_strategy, FuzzConfig};
+use veil_snp::metrics::nearest_rank;
 use veil_snp::rmp::RmpMutation;
-use veil_testkit::bench::BenchGroup;
-use veil_testkit::fmt::{json_array, json_f64, json_field, json_object, json_str_field};
+use veil_testkit::fmt::{json_f64, json_field, json_object, json_str_field};
 use veil_testkit::prop::SEED_ENV;
 use veil_testkit::TestRng;
 
@@ -152,7 +152,7 @@ fn main() {
 }
 
 /// Throughput bench: wall-clock ops/sec over a fixed differential
-/// workload, plus deterministic model-cycle stats per sequence, written
+/// workload, plus the min/median/max model cycles per sequence, written
 /// as `BENCH_ADVERSARY.json` so later PRs cannot silently slow the
 /// harness down.
 fn bench(args: &Args) {
@@ -170,26 +170,24 @@ fn bench(args: &Args) {
         .collect();
     let total_ops: usize = sequences.iter().map(Vec::len).sum();
 
-    // Wall-clock pass: every op runs on the machine plus the oracle,
-    // with full invariant sweeps — that whole package is the
-    // unit "op" here, matching what CI budgets actually pay for.
+    // One pass: every op runs on the machine plus the oracle, with full
+    // invariant sweeps — that whole package is the unit "op" here,
+    // matching what CI budgets actually pay for. Each sequence also
+    // reports the model cycles it charged (identical on every machine,
+    // so trend lines are exact).
     let start = Instant::now();
-    for (i, ops) in sequences.iter().enumerate() {
-        run_sequence(ops, None).unwrap_or_else(|e| panic!("bench sequence {i} diverged: {e}"));
-    }
+    let mut cycles: Vec<u64> = sequences
+        .iter()
+        .enumerate()
+        .map(|(i, ops)| {
+            run_sequence(ops, None)
+                .unwrap_or_else(|e| panic!("bench sequence {i} diverged: {e}"))
+                .total_cycles
+        })
+        .collect();
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let ops_per_sec = total_ops as f64 / (wall_ms / 1e3);
-
-    // Deterministic pass: model cycles charged per differential
-    // sequence (identical on every machine, so trend lines are exact).
-    let mut group = BenchGroup::new("adversary_fuzz").warmup(1).iters(5);
-    let mut pick = 0usize;
-    group.bench("differential_sequence_cycles", || {
-        let ops = &sequences[pick % sequences.len()];
-        pick += 1;
-        run_sequence(ops, None).expect("bench sequence diverged").total_cycles
-    });
-    let results = group.finish();
+    cycles.sort_unstable();
 
     let json = json_object(&[
         json_str_field("bench", "adversary_fuzz"),
@@ -198,7 +196,14 @@ fn bench(args: &Args) {
         json_field("total_ops", total_ops),
         json_field("wall_ms", json_f64(wall_ms)),
         json_field("ops_per_sec", json_f64(ops_per_sec)),
-        json_field("cycles", json_array(&results.iter().map(|r| r.json()).collect::<Vec<_>>())),
+        json_field(
+            "cycles",
+            json_object(&[
+                json_field("min", cycles[0]),
+                json_field("median", cycles[nearest_rank(cycles.len(), 50.0) - 1]),
+                json_field("max", cycles[cycles.len() - 1]),
+            ]),
+        ),
     ]);
     println!("{json}");
     match std::fs::write(&args.out, format!("{json}\n")) {

@@ -238,7 +238,7 @@ fn main() {
         bs.pages_validated,
         bs.rmpadjusts,
         bs.vmsas_created,
-        veil_bench::fmt::cycles(bs.cycles)
+        fmt::cycles(bs.cycles)
     );
 
     println!(
@@ -298,7 +298,7 @@ fn main() {
     println!("\nVMSA frames live: {}", m.vmsa_gfns().len());
     println!(
         "cycle account: {} total ({:.3} simulated seconds)",
-        veil_bench::fmt::cycles(m.cycles().total()),
+        fmt::cycles(m.cycles().total()),
         m.cycles().seconds()
     );
 }

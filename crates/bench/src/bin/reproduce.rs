@@ -12,11 +12,11 @@
 //! Everything is driven by the deterministic cycle model, so two runs of
 //! the same binary produce byte-identical tables (and JSON) on any host.
 
-use veil_bench::fmt::{
+use veil_bench::*;
+use veil_testkit::fmt::{
     cycles, header, json_array, json_escape, json_f64, json_field, json_object, json_str_field,
     pct, rate_k, row,
 };
-use veil_bench::*;
 
 /// Every experiment `--experiment` accepts, in run order.
 const EXPERIMENTS: [&str; 11] = [
@@ -308,6 +308,7 @@ fn run_switch() {
         cycles(r.switch_cycles),
         r.iterations
     );
+    println!("OS->VeilMon->OS GHCB round trip:  {} cycles", cycles(r.roundtrip_cycles));
     println!("plain VMCALL exit (non-SNP VM):   {} cycles", cycles(r.vmcall_cycles));
     println!("ratio: {:.1}x", r.switch_cycles as f64 / r.vmcall_cycles as f64);
 }
@@ -351,6 +352,8 @@ fn run_fig5(scale: usize) {
     header("Fig. 5 / Table 4: shielding real-world programs with VeilS-ENC");
     row(&[
         ("program", 10),
+        ("native", 13),
+        ("enclave", 13),
         ("overhead", 10),
         ("paper", 8),
         ("redirect", 10),
@@ -361,6 +364,8 @@ fn run_fig5(scale: usize) {
     for r in fig5(scale) {
         row(&[
             (r.program, 10),
+            (&cycles(r.native_cycles), 13),
+            (&cycles(r.enclave_cycles), 13),
             (&pct(r.overhead()), 10),
             (&pct(r.paper_overhead), 8),
             (&format!("{:.1}pp", r.redirect_points()), 10),
@@ -376,6 +381,9 @@ fn run_fig6(scale: usize) {
     header("Fig. 6 / Table 5: audit-log protection (paper: kaudit 0.3-8.7%, VeilS-LOG 1.4-18.7%)");
     row(&[
         ("program", 10),
+        ("unaudited cyc", 14),
+        ("kaudit cyc", 13),
+        ("veils-log cyc", 14),
         ("kaudit", 9),
         ("veils-log", 11),
         ("paper k/v", 15),
@@ -385,6 +393,9 @@ fn run_fig6(scale: usize) {
     for r in fig6(scale) {
         row(&[
             (r.program, 10),
+            (&cycles(r.base_cycles), 14),
+            (&cycles(r.kaudit_cycles), 13),
+            (&cycles(r.veil_cycles), 14),
             (&pct(r.kaudit_overhead()), 9),
             (&pct(r.veil_overhead()), 11),
             (&format!("{}/{}", pct(r.paper.0), pct(r.paper.1)), 15),

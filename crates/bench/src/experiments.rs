@@ -27,7 +27,7 @@ pub const BENCH_FRAMES: u64 = 8192;
 
 // The paper's figures measure the serial Fig. 3 gate protocol, so every
 // paper-reproduction experiment pins batching off; the batched gate path
-// is evaluated separately (`hotpath` bench, `batch_differential` tests).
+// is evaluated separately (`batch_differential` tests, veilbench).
 fn veil_cvm() -> Cvm {
     CvmBuilder::new()
         .frames(BENCH_FRAMES)
@@ -111,6 +111,8 @@ pub struct SwitchCost {
     pub iterations: u64,
     /// Average cycles per hypervisor-relayed switch (one direction).
     pub switch_cycles: u64,
+    /// Average cycles per OS→VeilMon→OS GHCB round trip, all categories.
+    pub roundtrip_cycles: u64,
     /// A plain `VMCALL` exit on a non-SNP VM (the paper's baseline).
     pub vmcall_cycles: u64,
 }
@@ -134,6 +136,7 @@ pub fn domain_switch(iterations: u64) -> SwitchCost {
     SwitchCost {
         iterations,
         switch_cycles: delta.of(CostCategory::DomainSwitch) / (2 * iterations),
+        roundtrip_cycles: delta.total() / iterations,
         vmcall_cycles: cvm.hv.machine.cost().vmcall_plain,
     }
 }

@@ -365,7 +365,8 @@ impl<S: ServiceDispatch> GenericCvm<S> {
     ///
     /// # Errors
     ///
-    /// Any switch or machine error during the drain.
+    /// [`OsError::Config`] when a VCPU is not in the kernel domain (VMPL3),
+    /// e.g. an enclave is still current; any switch or machine error.
     pub fn flush_gate(&mut self) -> Result<(), OsError> {
         for v in 0..self.vcpus {
             self.gate.flush(&mut self.hv, v)?;

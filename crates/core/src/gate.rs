@@ -367,6 +367,15 @@ impl<S: ServiceDispatch> MonitorChannel for VeilGate<S> {
     }
 
     fn flush(&mut self, hv: &mut Hypervisor, vcpu: u32) -> Result<(), OsError> {
+        // The doorbell claims VMPL3, but the hypervisor relays from the
+        // VCPU's real domain: from an enclave it would switch VMPL2 ->
+        // trusted domain -> VMPL3. Refuse before touching the ring.
+        let current = hv.vcpu(vcpu).map(|v| v.current_vmpl);
+        if current != Some(Vmpl::Vmpl3) {
+            return Err(OsError::Config(format!(
+                "gate flush on vcpu {vcpu} needs the kernel (VMPL3) current, found {current:?}"
+            )));
+        }
         let Some(batch) = self.pending.remove(&vcpu) else { return Ok(()) };
         if batch.reqs.is_empty() {
             return Ok(());
@@ -587,6 +596,9 @@ mod tests {
             let ghcb = monitor.layout.kernel_ghcb_gfns(1)[0];
             hv.machine.set_ghcb_msr(0, ghcb);
         }
+        // Boot handoff, as `CvmBuilder::build` does: the kernel is current.
+        hv.vcpu_mut(0).unwrap().current_vmpl = Vmpl::Vmpl3;
+        hv.machine.set_current_domain(Vmpl::Vmpl3);
         (hv, VeilGate::new(monitor, NoServices))
     }
 

@@ -1,5 +1,5 @@
-//! Table, number, and JSON formatting shared by the bench runner and
-//! the `reproduce`/`inspect` binaries.
+//! Table, number, and JSON formatting shared by the `reproduce`,
+//! `inspect`, `fleet` and `trend` binaries and the adversary bins.
 
 /// Formats a fraction as a signed percentage.
 pub fn pct(f: f64) -> String {

@@ -38,6 +38,8 @@ fn all_services_coexist_in_one_cvm() {
         let mut d = EnclaveDriver { cvm: &mut cvm, rt: &mut rt };
         SqliteWorkload { rows: 150 }.run(&mut d).unwrap()
     };
+    // Deschedule the enclave so the kernel is current again.
+    veil_sdk::runtime::park_enclave(&mut cvm, &mut rt).unwrap();
 
     // ...and the same workload natively in the same CVM.
     let native_pid = cvm.spawn();
