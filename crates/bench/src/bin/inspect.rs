@@ -133,12 +133,12 @@ fn metrics_mode(args: &[String]) {
 
     fmt::header("counters");
     for (key, value) in registry.counters() {
-        println!("{:<46} {value}", label(key));
+        println!("{:<46} {value}", label(&key));
     }
 
     fmt::header("gauges");
     for (key, value) in registry.gauges() {
-        println!("{:<46} {value}", label(key));
+        println!("{:<46} {value}", label(&key));
     }
 
     fmt::header("cycle histograms");

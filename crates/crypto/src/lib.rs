@@ -22,6 +22,11 @@
 //! no claims about side-channel resistance of the host they run on. The DH
 //! group in [`dh`] uses simulation-grade parameters.
 //!
+//! The crate denies `unsafe_code`, with one allowed block: [`sha256`]
+//! calls its x86-64 SHA-NI block function only after a run-time CPU
+//! feature check, and falls back to the portable block function on CPUs
+//! without the SHA extensions.
+//!
 //! # Example
 //!
 //! ```
@@ -31,7 +36,7 @@
 //! assert_eq!(digest.len(), 32);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aes;

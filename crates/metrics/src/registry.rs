@@ -61,18 +61,41 @@ impl Key {
     }
 }
 
+/// Event tags ([`Event::tag`] is dense over `0..EVENT_TAGS`).
+const EVENT_TAGS: usize = 16;
+
+/// Domains with a dense `events_total` slot: `vmpl0`..`vmpl3`, then
+/// [`DOMAIN_NONE`].
+const DOMAIN_SLOTS: [u8; 5] = [0, 1, 2, 3, DOMAIN_NONE];
+
+/// The gauge every observed event sets to its cycle stamp.
+const CYCLES_TOTAL: Key = Key { metric: "cycles_total", domain: DOMAIN_NONE, op: "" };
+
 /// Deterministic metrics registry.
 ///
-/// All state lives in `BTreeMap`s so iteration (and therefore every
-/// exporter) is ordered and reproducible. The registry is runtime gated:
-/// when disabled every observation method returns immediately, so the
-/// only disabled-mode cost at a call site is one branch.
+/// All series iterate in `Key` order, so every exporter is ordered and
+/// reproducible. The registry is runtime gated: when disabled every
+/// observation method returns immediately, so the only disabled-mode cost
+/// at a call site is one branch.
+///
+/// The two series every event touches are kept dense: `events_total` in
+/// a `[tag][domain slot]` array and `cycles_total` in a plain field. The
+/// iterators merge them back into the `BTreeMap` series in `Key` order,
+/// so exports are the same bytes a per-event map update would give.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     enabled: bool,
     counters: BTreeMap<Key, u64>,
     gauges: BTreeMap<Key, u64>,
     histograms: BTreeMap<Key, Histogram>,
+    /// `events_total{domain, op}` for the domains in [`DOMAIN_SLOTS`],
+    /// indexed by event tag then slot. Other domains go to `counters`.
+    events_total: [[u64; DOMAIN_SLOTS.len()]; EVENT_TAGS],
+    /// The op label of each tag ([`Event::name`]), stored as the tag is
+    /// counted.
+    event_ops: [&'static str; EVENT_TAGS],
+    /// The `cycles_total` gauge, never stored in `gauges`.
+    cycles_total: Option<u64>,
     /// The same fold the tracer runs, re-run here so the drift test can
     /// prove tracer, ring replay, and registry agree.
     events: EventCounters,
@@ -102,6 +125,8 @@ impl MetricsRegistry {
             self.counters.clear();
             self.gauges.clear();
             self.histograms.clear();
+            self.events_total = Default::default();
+            self.cycles_total = None;
             self.events = EventCounters::default();
             self.pending_exit.clear();
         }
@@ -121,7 +146,11 @@ impl MetricsRegistry {
         if !self.enabled {
             return;
         }
-        self.gauges.insert(key, value);
+        if key == CYCLES_TOTAL {
+            self.cycles_total = Some(value);
+        } else {
+            self.gauges.insert(key, value);
+        }
     }
 
     /// Records `value` into the histogram at `key`.
@@ -141,7 +170,14 @@ impl MetricsRegistry {
         }
         self.events.observe(event);
         let (domain, op) = event_labels(event);
-        self.inc_counter(Key::new("events_total", domain, op), 1);
+        match DOMAIN_SLOTS.iter().position(|&d| d == domain) {
+            Some(slot) => {
+                let tag = usize::from(event.tag());
+                self.events_total[tag][slot] += 1;
+                self.event_ops[tag] = op;
+            }
+            None => self.inc_counter(Key::new("events_total", domain, op), 1),
+        }
         match *event {
             Event::VmgExit { vcpu, vmpl, code, automatic: false, .. } => {
                 self.pending_exit.insert(vcpu, (cycles, vmpl, code));
@@ -171,7 +207,7 @@ impl MetricsRegistry {
             }
             _ => {}
         }
-        self.set_gauge(Key::new("cycles_total", DOMAIN_NONE, ""), cycles);
+        self.cycles_total = Some(cycles);
     }
 
     /// The registry's own event fold (the drift test compares this against
@@ -181,13 +217,26 @@ impl MetricsRegistry {
     }
 
     /// Counter series in key order.
-    pub fn counters(&self) -> impl Iterator<Item = (&Key, u64)> {
-        self.counters.iter().map(|(k, &v)| (k, v))
+    pub fn counters(&self) -> impl Iterator<Item = (Key, u64)> {
+        let mut all = self.counters.clone();
+        for (tag, slots) in self.events_total.iter().enumerate() {
+            for (&domain, &count) in DOMAIN_SLOTS.iter().zip(slots) {
+                if count > 0 {
+                    let key = Key::new("events_total", domain, self.event_ops[tag]);
+                    *all.entry(key).or_insert(0) += count;
+                }
+            }
+        }
+        all.into_iter()
     }
 
     /// Gauge series in key order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&Key, u64)> {
-        self.gauges.iter().map(|(k, &v)| (k, v))
+    pub fn gauges(&self) -> impl Iterator<Item = (Key, u64)> {
+        let mut all = self.gauges.clone();
+        if let Some(cycles) = self.cycles_total {
+            all.insert(CYCLES_TOTAL, cycles);
+        }
+        all.into_iter()
     }
 
     /// Histogram series in key order.
@@ -215,7 +264,12 @@ impl MetricsRegistry {
 
     /// Whether no series has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+        // Every observed event sets `cycles_total`, so it also stands for
+        // the dense `events_total` slots.
+        self.counters.is_empty()
+            && self.gauges.is_empty()
+            && self.histograms.is_empty()
+            && self.cycles_total.is_none()
     }
 }
 

@@ -57,7 +57,7 @@ impl AuditRecord {
         out.extend_from_slice(&self.sysno.num().to_le_bytes());
         out.extend_from_slice(&self.ret.to_le_bytes());
         out.extend_from_slice(&self.tsc.to_le_bytes());
-        out.extend_from_slice(format!("{}", self.sysno).as_bytes());
+        out.extend_from_slice(self.sysno.name().as_bytes());
         out
     }
 

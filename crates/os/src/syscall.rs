@@ -80,6 +80,75 @@ impl Sysno {
         self as u64
     }
 
+    /// The lowercase syscall name (`open`, `sendfile`, ...), as kaudit
+    /// records and [`fmt::Display`] print it.
+    pub fn name(self) -> &'static str {
+        match self {
+            Sysno::Read => "read",
+            Sysno::Write => "write",
+            Sysno::Open => "open",
+            Sysno::Close => "close",
+            Sysno::Stat => "stat",
+            Sysno::Fstat => "fstat",
+            Sysno::Lseek => "lseek",
+            Sysno::Mmap => "mmap",
+            Sysno::Mprotect => "mprotect",
+            Sysno::Munmap => "munmap",
+            Sysno::Brk => "brk",
+            Sysno::Ioctl => "ioctl",
+            Sysno::Pread64 => "pread64",
+            Sysno::Pwrite64 => "pwrite64",
+            Sysno::Readv => "readv",
+            Sysno::Writev => "writev",
+            Sysno::Access => "access",
+            Sysno::Pipe => "pipe",
+            Sysno::Dup => "dup",
+            Sysno::Dup2 => "dup2",
+            Sysno::Nanosleep => "nanosleep",
+            Sysno::Getpid => "getpid",
+            Sysno::Sendfile => "sendfile",
+            Sysno::Socket => "socket",
+            Sysno::Connect => "connect",
+            Sysno::Accept => "accept",
+            Sysno::Sendto => "sendto",
+            Sysno::Recvfrom => "recvfrom",
+            Sysno::Sendmsg => "sendmsg",
+            Sysno::Recvmsg => "recvmsg",
+            Sysno::Bind => "bind",
+            Sysno::Listen => "listen",
+            Sysno::Socketpair => "socketpair",
+            Sysno::Clone => "clone",
+            Sysno::Fork => "fork",
+            Sysno::Vfork => "vfork",
+            Sysno::Execve => "execve",
+            Sysno::Exit => "exit",
+            Sysno::Rename => "rename",
+            Sysno::Mkdir => "mkdir",
+            Sysno::Rmdir => "rmdir",
+            Sysno::Creat => "creat",
+            Sysno::Link => "link",
+            Sysno::Unlink => "unlink",
+            Sysno::Symlink => "symlink",
+            Sysno::Chmod => "chmod",
+            Sysno::Fchmod => "fchmod",
+            Sysno::Truncate => "truncate",
+            Sysno::Ftruncate => "ftruncate",
+            Sysno::Getdents => "getdents",
+            Sysno::Getuid => "getuid",
+            Sysno::Setuid => "setuid",
+            Sysno::Setreuid => "setreuid",
+            Sysno::Setresuid => "setresuid",
+            Sysno::ClockGettime => "clockgettime",
+            Sysno::Openat => "openat",
+            Sysno::Mknodat => "mknodat",
+            Sysno::Unlinkat => "unlinkat",
+            Sysno::Accept4 => "accept4",
+            Sysno::Dup3 => "dup3",
+            Sysno::Pipe2 => "pipe2",
+            Sysno::Splice => "splice",
+        }
+    }
+
     /// All syscalls the simulation knows about.
     pub const ALL: [Sysno; 57] = [
         Sysno::Read,
@@ -145,7 +214,7 @@ impl Sysno {
 impl fmt::Display for Sysno {
     /// Prints the lowercase syscall name (`open`, `sendfile`, ...).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", format!("{self:?}").to_lowercase())
+        f.write_str(self.name())
     }
 }
 
@@ -167,6 +236,13 @@ mod tests {
     fn display_is_lowercase() {
         assert_eq!(format!("{}", Sysno::Open), "open");
         assert_eq!(format!("{}", Sysno::Sendfile), "sendfile");
+    }
+
+    #[test]
+    fn name_is_the_lowercase_debug_name() {
+        for s in Sysno::ALL {
+            assert_eq!(s.name(), format!("{s:?}").to_lowercase());
+        }
     }
 
     #[test]

@@ -9,6 +9,9 @@
 //! builder knob (`CvmBuilder::trace/metrics/batch`); only binary entry
 //! points and the two `veil-testkit` harness controls (seed replay and
 //! golden regeneration) may consult env vars.
+//!
+//! And the workspace is safe Rust but for one audited `unsafe` block, the
+//! call into the SHA-NI block function in `crates/crypto/src/sha256.rs`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -197,5 +200,72 @@ fn library_sources_read_no_environment() {
                 );
             }
         }
+    }
+}
+
+/// The only file allowed an `unsafe` block: the call into the SHA-NI
+/// block function, behind a run-time CPU feature check.
+const UNSAFE_FILE: &str = "crates/crypto/src/sha256.rs";
+
+/// Counts `unsafe {` blocks and flags `unsafe fn` / `unsafe impl` in one
+/// source text. The `unsafe_code` lint attributes do not match.
+fn unsafe_uses(text: &str) -> (usize, Vec<&'static str>) {
+    let squashed: String = text.split_whitespace().collect::<Vec<_>>().join(" ");
+    let blocks = squashed.matches("unsafe {").count() + squashed.matches("unsafe{").count();
+    let items =
+        ["unsafe fn", "unsafe impl"].into_iter().filter(|item| squashed.contains(item)).collect();
+    (blocks, items)
+}
+
+#[test]
+fn unsafe_code_is_confined_to_one_audited_block() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut sources = Vec::new();
+    let mut stack = vec![root.to_path_buf()];
+    while let Some(dir) = stack.pop() {
+        for entry in fs::read_dir(&dir).expect("readable dir") {
+            let path = entry.expect("dir entry").path();
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            if path.is_dir() {
+                // Build output and VCS metadata, not sources.
+                if name != "target" && !name.starts_with('.') {
+                    stack.push(path);
+                }
+            } else if path.extension().and_then(|e| e.to_str()) == Some("rs") {
+                sources.push(path);
+            }
+        }
+    }
+    let audited = root.join(UNSAFE_FILE);
+    assert!(sources.contains(&audited), "{UNSAFE_FILE} is gone");
+    for path in &sources {
+        // This file spells the patterns out.
+        if path.ends_with("tests/hermeticity.rs") {
+            continue;
+        }
+        let (blocks, items) = unsafe_uses(&fs::read_to_string(path).expect("readable source"));
+        assert!(items.is_empty(), "{}: declares {items:?}", path.display());
+        if path == &audited {
+            assert!(blocks <= 1, "{UNSAFE_FILE}: {blocks} unsafe blocks, at most 1 allowed");
+        } else {
+            assert_eq!(blocks, 0, "{}: unsafe block outside {UNSAFE_FILE}", path.display());
+        }
+    }
+
+    let mut roots = vec![root.join("src/lib.rs")];
+    for entry in fs::read_dir(root.join("crates")).expect("crates/ present") {
+        let lib = entry.expect("dir entry").path().join("src/lib.rs");
+        if lib.is_file() {
+            roots.push(lib);
+        }
+    }
+    assert!(roots.len() >= 15, "expected every library crate root, found {}", roots.len());
+    let crypto_root = root.join("crates/crypto/src/lib.rs");
+    assert!(roots.contains(&crypto_root), "veil-crypto root is gone");
+    for lib in &roots {
+        let text = fs::read_to_string(lib).expect("readable crate root");
+        let want =
+            if lib == &crypto_root { "#![deny(unsafe_code)]" } else { "#![forbid(unsafe_code)]" };
+        assert!(text.lines().any(|l| l.trim() == want), "{}: lost `{want}`", lib.display());
     }
 }
